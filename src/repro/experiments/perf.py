@@ -239,7 +239,7 @@ def bench_batched_sessions(
 
     Both sides run the *same* uplink workload: the serial leg drives
     one :class:`repro.telephony.uplink.UplinkSession` per seed through
-    the event engine's per-tick dispatch; the batched legs advance
+    its scalar per-tick loop; the batched legs advance
     whole cohorts per tick through :class:`repro.sim.batch.
     BatchedSimulation` (bit-identical results, see tests/test_batch.py).
     The tracked signal is ``sessions_per_sec`` — aggregate simulated

@@ -11,21 +11,23 @@ behaviour reproduces the phenomena POI360 exploits:
   through a diagnostic interface read in 40 ms batches (MobileInsight).
 """
 
-from repro.lte.channel import ChannelProcess
+from repro.lte.channel import ChannelDraws, ChannelProcess
 from repro.lte.cell import CellLoadProcess
 from repro.lte.diagnostics import DiagMonitor, DiagRecord
 from repro.lte.firmware_buffer import FirmwareBuffer
-from repro.lte.scheduler import EnbScheduler
+from repro.lte.scheduler import EnbScheduler, SchedulerDraws
 from repro.lte.tbs import bytes_per_prb, cqi_from_rss, efficiency_for_cqi
 from repro.lte.ue import UeUplink
 
 __all__ = [
+    "ChannelDraws",
     "ChannelProcess",
     "CellLoadProcess",
     "DiagMonitor",
     "DiagRecord",
     "FirmwareBuffer",
     "EnbScheduler",
+    "SchedulerDraws",
     "UeUplink",
     "bytes_per_prb",
     "cqi_from_rss",

@@ -10,7 +10,7 @@ paper's driving experiments (Fig. 17e/f).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,15 +26,13 @@ from repro.sim.blocks import (
     uniform_range_transform,
     uniform_transform,
 )
-from repro.sim.engine import Simulation
 
 
 class ChannelDynamics(NamedTuple):
     """Derived per-update constants of the channel process.
 
-    One derivation shared by the event-driven :class:`ChannelProcess`,
-    the grid-scalar :class:`GridChannel` reference and the batched
-    :class:`ChannelArray` twin, so all three agree on how mobility
+    One derivation shared by the scalar :class:`ChannelProcess` and its
+    batched :class:`ChannelArray` twin, so both agree on how mobility
     reshapes the fading statistics.
     """
 
@@ -74,57 +72,130 @@ def derive_channel_dynamics(config: ChannelConfig) -> ChannelDynamics:
     )
 
 
+class ChannelDraws(NamedTuple):
+    """The variates :class:`ChannelProcess` consumes, one callable each.
+
+    The process never owns a generator: its owner decides where each
+    variate comes from.  The event engine draws every one on demand from
+    the UE's shared generator (:meth:`from_generator`); the lockstep
+    engines read five named block streams (:meth:`from_streams`), the
+    same ones :class:`ChannelArray` gathers per session.
+    """
+
+    #: Standard normal innovation of the shadow-fading term.
+    shadow: Callable[[], float]
+    #: Uniform in [0, 1) tested against the per-update handover odds.
+    handover: Callable[[], float]
+    #: Uniform in [0, 1) tested against the per-update deep-fade odds.
+    fade: Callable[[], float]
+    #: Depth (dB) of a deep fade that starts.
+    fade_depth: Callable[[], float]
+    #: Length (s) of a deep fade that starts.
+    fade_duration: Callable[[], float]
+
+    @staticmethod
+    def from_generator(rng: np.random.Generator, config: ChannelConfig) -> "ChannelDraws":
+        """Draw each variate from ``rng`` when the process asks for it."""
+        depth = config.deep_fade_depth_db
+        low, high = config.deep_fade_duration
+        return ChannelDraws(
+            shadow=rng.normal,
+            handover=rng.random,
+            fade=rng.random,
+            fade_depth=lambda: rng.exponential(depth),
+            fade_duration=lambda: rng.uniform(low, high),
+        )
+
+    @staticmethod
+    def from_streams(stream, config: ChannelConfig, block: int = 1024) -> "ChannelDraws":
+        """Read the ``channel.*`` block streams ``stream(name)`` returns."""
+        low, high = config.deep_fade_duration
+        return ChannelDraws(
+            shadow=BlockStream(stream("channel.z"), normal_transform(), block).next,
+            handover=BlockStream(
+                stream("channel.handover"), uniform_transform(), block
+            ).next,
+            fade=BlockStream(stream("channel.fade"), uniform_transform(), block).next,
+            fade_depth=BlockStream(
+                stream("channel.fade_depth"),
+                exponential_transform(config.deep_fade_depth_db),
+                block,
+            ).next,
+            fade_duration=BlockStream(
+                stream("channel.fade_duration"), uniform_range_transform(low, high), block
+            ).next,
+        )
+
+
 class ChannelProcess:
-    """Time-varying RSS / CQI process for the sender's uplink."""
+    """Time-varying RSS / CQI process for one UE's radio link.
+
+    The owner clocks it: :meth:`update` runs every
+    ``config.update_interval`` with the current time, and :meth:`cqi`
+    takes the time of the subframe asking.  Variates come from
+    :class:`ChannelDraws`.  The event-driven UE and the lockstep
+    reference both run this class, and it is the scalar oracle the
+    batched :class:`ChannelArray` is proven against.
+    """
+
+    __slots__ = (
+        "_rss", "_decay", "_innovation", "_corr_time", "_sigma",
+        "_handover_enabled", "_handover_prob", "_handover_outage",
+        "_fade_enabled", "_fade_prob", "_shadow", "_handover", "_fade",
+        "_fade_depth", "_fade_duration", "_trace", "_meter",
+        "_shadow_db", "_outage_until", "_fade_db", "_fade_until", "_cqi",
+    )
 
     def __init__(
         self,
-        sim: Simulation,
         config: ChannelConfig,
-        rng: np.random.Generator,
+        draws: ChannelDraws,
         trace=NULL_BUS,
         meter=NULL_METER,
     ):
-        self._sim = sim
-        self._config = config
-        self._rng = rng
+        # The Gauss-Markov step parameters are constants of the process;
+        # hoist them (and the per-step event probabilities) out of the
+        # 50 Hz update.
+        dynamics = derive_channel_dynamics(config)
+        self._rss = config.rss_dbm
+        self._decay = dynamics.decay
+        self._innovation = dynamics.innovation
+        self._corr_time = dynamics.corr_time
+        self._sigma = dynamics.sigma
+        self._handover_enabled = dynamics.handover_rate > 0.0
+        self._handover_prob = dynamics.handover_prob
+        self._handover_outage = config.handover_outage
+        self._fade_enabled = dynamics.fade_rate > 0.0
+        self._fade_prob = dynamics.fade_prob
+        (
+            self._shadow,
+            self._handover,
+            self._fade,
+            self._fade_depth,
+            self._fade_duration,
+        ) = draws
         self._trace = trace
         self._meter = meter
         self._shadow_db = 0.0
         self._outage_until = -1.0
         self._fade_db = 0.0
         self._fade_until = -1.0
-        # The Gauss-Markov step parameters are constants of the process;
-        # hoist them (and the per-step event probabilities) out of the
-        # 50 Hz update callback.
-        dt = config.update_interval
-        dynamics = derive_channel_dynamics(config)
-        self._fade_rate = dynamics.fade_rate
-        self._corr_time = dynamics.corr_time
-        self._sigma = dynamics.sigma
-        self._handover_rate = dynamics.handover_rate
-        self._decay = dynamics.decay
-        self._innovation = dynamics.innovation
-        self._handover_prob = dynamics.handover_prob
-        self._fade_prob = dynamics.fade_prob
-        #: CQI at the current RSS; only changes when ``_update`` runs, so
+        #: CQI at the current RSS; only changes when ``update`` runs, so
         #: per-subframe ``cqi()`` calls reuse it instead of re-deriving.
         self._cqi = cqi_from_rss(config.rss_dbm)
-        sim.every(dt, self._update)
 
-    def _update(self) -> None:
-        self._shadow_db = self._shadow_db * self._decay + self._innovation * self._rng.normal()
-        now = self._sim.now
-        if self._handover_rate > 0.0 and now > self._outage_until:
-            if self._rng.random() < self._handover_prob:
-                self._outage_until = now + self._config.handover_outage
+    def update(self, now: float) -> None:
+        """Advance shadowing, handovers and deep fades to ``now``."""
+        self._shadow_db = self._shadow_db * self._decay + self._innovation * self._shadow()
+        if self._handover_enabled and now > self._outage_until:
+            if self._handover() < self._handover_prob:
+                self._outage_until = now + self._handover_outage
         if now > self._fade_until:
             self._fade_db = 0.0
-            if self._fade_rate > 0.0 and self._rng.random() < self._fade_prob:
-                self._fade_db = self._rng.exponential(self._config.deep_fade_depth_db)
-                low, high = self._config.deep_fade_duration
-                self._fade_until = now + self._rng.uniform(low, high)
-        self._cqi = cqi_from_rss(self._config.rss_dbm + self._shadow_db - self._fade_db)
+            if self._fade_enabled and self._fade() < self._fade_prob:
+                self._fade_db = self._fade_depth()
+                self._fade_until = now + self._fade_duration()
+        self._cqi = cqi_from_rss(self._rss + self._shadow_db - self._fade_db)
         if self._trace:
             self._trace.emit("lte.cqi", cqi=self._cqi, rss_dbm=self.rss_dbm)
         if self._meter:
@@ -133,99 +204,24 @@ class ChannelProcess:
     @property
     def rss_dbm(self) -> float:
         """Instantaneous received signal strength (dBm)."""
-        return self._config.rss_dbm + self._shadow_db - self._fade_db
+        return self._rss + self._shadow_db - self._fade_db
 
-    @property
-    def in_outage(self) -> bool:
-        """True while a handover outage is in progress."""
-        return self._sim.now <= self._outage_until
-
-    def cqi(self) -> int:
-        """Instantaneous CQI (0 during handover outage)."""
-        if self._sim.now <= self._outage_until:
+    def cqi(self, now: float) -> int:
+        """CQI at ``now`` (0 during a handover outage)."""
+        if now <= self._outage_until:
             return 0
         return self._cqi
 
 
 # ----------------------------------------------------------------------
-# Lockstep twins (batched engine, repro.sim.batch)
+# Batched twin (batched engine, repro.sim.batch)
 # ----------------------------------------------------------------------
 
 
-class GridChannel:
-    """Grid-scalar channel for the lockstep uplink profile.
-
-    Same dynamics as :class:`ChannelProcess`, with two deliberate
-    differences that make a bit-exact batched twin possible:
-
-    - every variate comes from a block-transformed stream
-      (:mod:`repro.sim.blocks`) — handover/fade trigger uniforms, deep-
-      fade depths (inverse-transform exponential) and fade durations
-      (inverse-transform uniform) each from their own stream, so the
-      batched :class:`ChannelArray` consumes the exact same float64
-      sequences with per-session cursors;
-    - the caller supplies ``now`` (the lockstep engines derive time from
-      an integer tick counter rather than the event clock).
-
-    ``stream(name)`` must return the named per-session generator.
-    """
-
-    __slots__ = (
-        "_decay", "_innovation", "_handover_prob", "_fade_prob",
-        "_handover_enabled", "_fade_enabled", "_handover_outage", "_rss",
-        "_z", "_ho_u", "_fade_u", "_fade_depth", "_fade_dur",
-        "shadow_db", "outage_until", "fade_db", "fade_until", "cqi_value",
-    )
-
-    def __init__(self, config: ChannelConfig, stream, block: int = 1024):
-        dynamics = derive_channel_dynamics(config)
-        self._decay = dynamics.decay
-        self._innovation = dynamics.innovation
-        self._handover_prob = dynamics.handover_prob
-        self._fade_prob = dynamics.fade_prob
-        self._handover_enabled = dynamics.handover_rate > 0.0
-        self._fade_enabled = dynamics.fade_rate > 0.0
-        self._handover_outage = config.handover_outage
-        self._rss = config.rss_dbm
-        self._z = BlockStream(stream("channel.z"), normal_transform(), block)
-        self._ho_u = BlockStream(stream("channel.handover"), uniform_transform(), block)
-        self._fade_u = BlockStream(stream("channel.fade"), uniform_transform(), block)
-        self._fade_depth = BlockStream(
-            stream("channel.fade_depth"),
-            exponential_transform(config.deep_fade_depth_db),
-            block,
-        )
-        low, high = config.deep_fade_duration
-        self._fade_dur = BlockStream(
-            stream("channel.fade_duration"), uniform_range_transform(low, high), block
-        )
-        self.shadow_db = 0.0
-        self.outage_until = -1.0
-        self.fade_db = 0.0
-        self.fade_until = -1.0
-        self.cqi_value = cqi_from_rss(config.rss_dbm)
-
-    def update(self, now: float) -> None:
-        self.shadow_db = self.shadow_db * self._decay + self._innovation * self._z.next()
-        if self._handover_enabled and now > self.outage_until:
-            if self._ho_u.next() < self._handover_prob:
-                self.outage_until = now + self._handover_outage
-        if now > self.fade_until:
-            self.fade_db = 0.0
-            if self._fade_enabled and self._fade_u.next() < self._fade_prob:
-                self.fade_db = self._fade_depth.next()
-                self.fade_until = now + self._fade_dur.next()
-        self.cqi_value = cqi_from_rss(self._rss + self.shadow_db - self.fade_db)
-
-    def cqi(self, now: float) -> int:
-        """Instantaneous CQI (0 during handover outage)."""
-        if now <= self.outage_until:
-            return 0
-        return self.cqi_value
-
-
 class ChannelArray:
-    """``(n_sessions,)`` vectorised twin of :class:`GridChannel`.
+    """``(n_sessions,)`` vectorised twin of :class:`ChannelProcess`.
+
+    Reads the block streams :meth:`ChannelDraws.from_streams` names.
 
     Per-update cost is a handful of array ops regardless of the cohort
     size; the conditional draws (handover / fade triggers) gather from

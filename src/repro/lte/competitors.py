@@ -88,13 +88,16 @@ class CompetitorCell:
     """Cell load produced by explicit background UEs.
 
     Drop-in replacement for :class:`CellLoadProcess`: exposes the same
-    ``load`` property, consumed by the PF scheduler.
+    ``load`` attribute, consumed by the PF scheduler.  The owner calls
+    :meth:`update` every :data:`UPDATE_INTERVAL` with the current time;
+    every draw comes from ``rng``.  The event engine's UEs and shared
+    cells and the lockstep cells (whose crowd also feeds the batched
+    :class:`repro.lte.shared_cell.SharedCellArray`) all run this class.
     """
 
-    def __init__(self, sim: Simulation, config: CellConfig, rng: np.random.Generator):
-        self._sim = sim
-        self._config = config
-        self._rng = rng
+    __slots__ = ("_competitors", "_total_weight", "_rng", "load")
+
+    def __init__(self, config: CellConfig, rng: np.random.Generator):
         count = max(1, config.competitor_count)
         # Each competitor's duty cycle chosen so the expected aggregate
         # load matches the configured background_load.
@@ -103,7 +106,10 @@ class CompetitorCell:
             _CompetitorUe(rng, duty) for _ in range(count)
         ]
         self._total_weight = sum(c.weight for c in self._competitors)
-        sim.every(UPDATE_INTERVAL, self._update)
+        self._rng = rng
+        #: Instantaneous fraction of cell resources other UEs hold
+        #: (recomputed only when the population flips).
+        self.load = self._snapshot()
 
     @staticmethod
     def _capacity_share(count: int) -> float:
@@ -115,49 +121,6 @@ class CompetitorCell:
         admission-control variants.
         """
         return 1.0
-
-    def _update(self) -> None:
-        now = self._sim.now
-        for competitor in self._competitors:
-            competitor.update(now, self._rng)
-
-    @property
-    def load(self) -> float:
-        """Instantaneous fraction of cell resources other UEs hold."""
-        if self._total_weight <= 0.0:
-            return 0.0
-        active = sum(c.weight for c in self._competitors if c.active)
-        return min(0.9, active / self._total_weight)
-
-    @property
-    def active_competitors(self) -> int:
-        return sum(1 for c in self._competitors if c.active)
-
-
-class GridCompetitorCell:
-    """Grid twin of :class:`CompetitorCell` for the lockstep engines.
-
-    Same population, same per-UE draws from the same rng stream, same
-    aggregate-load arithmetic — but the caller clocks the on/off updates
-    (every ``UPDATE_INTERVAL`` on the 1 ms grid) instead of the event
-    engine, and ``load`` is a cached plain float recomputed only when
-    the population flips.  Both the scalar :class:`repro.lte.shared_cell.
-    GridSharedCell` and the batched :class:`~repro.lte.shared_cell.
-    SharedCellArray` own one of these per cell, so the two engines
-    consume bit-identical background loads by construction.
-    """
-
-    __slots__ = ("_competitors", "_total_weight", "_rng", "load")
-
-    def __init__(self, config: CellConfig, rng: np.random.Generator):
-        count = max(1, config.competitor_count)
-        duty = min(0.95, config.background_load * CompetitorCell._capacity_share(count))
-        self._competitors: List[_CompetitorUe] = [
-            _CompetitorUe(rng, duty) for _ in range(count)
-        ]
-        self._total_weight = sum(c.weight for c in self._competitors)
-        self._rng = rng
-        self.load = self._snapshot()
 
     def update(self, now: float) -> None:
         """Advance every competitor's on/off state to ``now``."""
@@ -172,11 +135,22 @@ class GridCompetitorCell:
         active = sum(c.weight for c in self._competitors if c.active)
         return min(0.9, active / self._total_weight)
 
+    @property
+    def active_competitors(self) -> int:
+        return sum(1 for c in self._competitors if c.active)
+
 
 def make_cell_model(sim: Simulation, config: CellConfig, rng: np.random.Generator):
-    """Factory: explicit competitors when configured, OU process otherwise."""
+    """Event-engine cell model over ``rng``: explicit competitors when
+    configured, the Gauss-Markov process otherwise, each clocked by
+    ``sim`` at its update cadence."""
     if config.competitor_count > 0:
-        return CompetitorCell(sim, config, rng)
+        crowd = CompetitorCell(config, rng)
+        sim.every(UPDATE_INTERVAL, lambda: crowd.update(sim._now))
+        return crowd
+    from repro.lte.cell import UPDATE_INTERVAL as LOAD_INTERVAL
     from repro.lte.cell import CellLoadProcess
 
-    return CellLoadProcess(sim, config, rng)
+    cell = CellLoadProcess(config, rng.normal)
+    sim.every(LOAD_INTERVAL, cell.update)
+    return cell

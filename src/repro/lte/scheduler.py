@@ -21,6 +21,8 @@ Fig. 5, which both of POI360's FBCC mechanisms rely on.
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from repro.config import LteConfig
@@ -30,6 +32,13 @@ from repro.lte.tbs import (
     BYTES_PER_PRB_TABLE,
     transport_block_bytes,
     transport_block_bytes_array,
+)
+from repro.sim.blocks import (
+    BlockStream,
+    BlockStreamArray,
+    lognormal_transform,
+    neglog_uniform_transform,
+    uniform_transform,
 )
 
 #: A near-empty buffer is still scheduled occasionally (scheduling
@@ -48,15 +57,67 @@ _EMPTY_ROWS = np.empty(0, dtype=np.int64)
 _EMPTY_GRANTS = np.empty(0, dtype=np.float64)
 
 
+def fading_sigma(config: LteConfig) -> float:
+    """Lognormal sigma of the per-grant fast fading (grows with speed)."""
+    return 0.10 + max(0.0, config.channel.speed_mph) / 300.0
+
+
+class SchedulerDraws(NamedTuple):
+    """The variates :class:`EnbScheduler` consumes, one callable each."""
+
+    #: ``-log(u)`` for a uniform ``u``: the mean burst length times this
+    #: (truncated, plus one) is the next geometric service burst.
+    burst: Callable[[], float]
+    #: Lognormal fast-fading factor applied to a granted transport block.
+    fading: Callable[[], float]
+
+    @staticmethod
+    def from_generator(rng: np.random.Generator, config: LteConfig) -> "SchedulerDraws":
+        """Draw from ``rng``: burst uniforms pre-drawn in batches of
+        :data:`_BATCH` (the first batch now), fading normals on demand."""
+        uniforms = BlockStream(rng, uniform_transform(), _BATCH)
+        normal = rng.normal
+        sigma = fading_sigma(config)
+        return SchedulerDraws(
+            burst=lambda: -np.log(max(1e-12, uniforms.next())),
+            fading=lambda: float(np.exp(normal(0.0, sigma))),
+        )
+
+    @staticmethod
+    def from_streams(stream, config: LteConfig, block: int = 1024) -> "SchedulerDraws":
+        """Read the ``sched.*`` block streams ``stream(name)`` returns,
+        with ``-log`` and ``exp`` applied block-wise."""
+        return SchedulerDraws(
+            burst=BlockStream(
+                stream("sched.burst"), neglog_uniform_transform(), block
+            ).next,
+            fading=BlockStream(
+                stream("sched.fading"), lognormal_transform(fading_sigma(config)), block
+            ).next,
+        )
+
+
 class EnbScheduler:
-    """Per-subframe grant decisions for a single tracked UE."""
+    """Per-subframe grant decisions for a single tracked UE.
+
+    Reads CQI from ``channel.cqi(now)`` and load from ``cell.load``, but
+    only when a grant decision needs them.  The event-driven UE and the
+    lockstep reference both run this class, and it is the scalar oracle
+    the batched :class:`SchedulerArray` is proven against.
+    """
+
+    __slots__ = (
+        "_config", "_channel", "_cell", "_cell_claim", "_burst", "_fading",
+        "_p_max", "_backlog_ref", "_prb_quota", "_mean_burst",
+        "_burst_left", "_idle_left",
+    )
 
     def __init__(
         self,
         config: LteConfig,
         channel: ChannelProcess,
         cell: CellLoadProcess,
-        rng: np.random.Generator,
+        draws: SchedulerDraws,
     ):
         self._config = config
         self._channel = channel
@@ -64,28 +125,15 @@ class EnbScheduler:
         #: Optional per-subframe PRB budget hook (shared cells only);
         #: ``None`` keeps the solo grant arithmetic untouched.
         self._cell_claim = None
-        self._rng = rng
-        self._uniforms = rng.random(_BATCH)
-        self._cursor = 0
+        self._burst, self._fading = draws
         # Frozen-config fields used every subframe, hoisted once.
         self._p_max = config.p_max
         self._backlog_ref = config.pf_backlog_ref
         self._prb_quota = config.prb_quota
         self._mean_burst = config.scheduling_burst_subframes
-        speed = max(0.0, config.channel.speed_mph)
-        #: Fast-fading lognormal sigma on the per-grant TBS.
-        self._fading_sigma = 0.10 + speed / 300.0
         #: Burst/idle service process state (subframes remaining).
         self._burst_left = 0
         self._idle_left = 0
-
-    def _next_uniform(self) -> float:
-        if self._cursor >= _BATCH:
-            self._uniforms = self._rng.random(_BATCH)
-            self._cursor = 0
-        value = self._uniforms[self._cursor]
-        self._cursor += 1
-        return value
 
     def set_cell(self, cell) -> None:
         """Re-point the load source (e.g. a shared cell's member view).
@@ -93,7 +141,9 @@ class EnbScheduler:
         When the new cell exposes ``claim_prbs`` — a
         :class:`repro.lte.shared_cell.CellMemberView` does — the grant
         path additionally claims its PRBs from the cell's per-subframe
-        budget, so members of one cell cannot jointly exceed it.
+        budget, so members of one cell cannot jointly exceed it.  A
+        claim of zero returns before the fading draw, as the batched
+        :class:`SchedulerArray` drops unserved rows before its take.
         """
         self._cell = cell
         self._cell_claim = getattr(cell, "claim_prbs", None)
@@ -102,11 +152,13 @@ class EnbScheduler:
         """PRBs our UE is granted when scheduled, given the cell load."""
         return max(2, int(round(self._prb_quota * (2.0 - load))))
 
-    def grant_for_subframe(self, reported_backlog: float, actual_backlog: float) -> float:
-        """Transport block size (bytes) granted this subframe (0 = none)."""
+    def grant_for_subframe(
+        self, reported_backlog: float, actual_backlog: float, now: float
+    ) -> float:
+        """Transport block size (bytes) granted at ``now`` (0 = none)."""
         if reported_backlog <= 0.0:
             return 0.0
-        cqi = self._channel.cqi()
+        cqi = self._channel.cqi(now)
         if cqi <= 0:
             return 0.0
         load = self._cell.load
@@ -127,7 +179,7 @@ class EnbScheduler:
             if prbs <= 0:
                 return 0.0
         capacity = transport_block_bytes(cqi, prbs)
-        fading = float(np.exp(self._rng.normal(0.0, self._fading_sigma)))
+        fading = self._fading()
         return min(actual_backlog, capacity * fading)
 
     def _in_service_burst(self, duty_cycle: float) -> bool:
@@ -142,21 +194,20 @@ class EnbScheduler:
         if self._idle_left > 0:
             self._idle_left -= 1
             return False
-        mean_burst = self._mean_burst
         duty = min(1.0, max(1e-3, duty_cycle))
-        burst = 1 + int(-mean_burst * np.log(max(1e-12, self._next_uniform())))
+        burst = 1 + int(self._mean_burst * self._burst())
         idle = min(MAX_IDLE_SUBFRAMES, int(round(burst * (1.0 - duty) / duty)))
         self._burst_left = burst - 1  # this subframe is the burst's first
         self._idle_left = idle
         return True
 
-    def saturation_rate_bps(self) -> float:
-        """Expected plateau throughput under current channel/load (bps).
+    def saturation_rate_bps(self, now: float) -> float:
+        """Expected plateau throughput under channel/load at ``now`` (bps).
 
         This is a model introspection helper for tests and calibration,
         not something POI360 gets to observe.
         """
-        cqi = self._channel.cqi()
+        cqi = self._channel.cqi(now)
         load = self._cell.load
         capacity = transport_block_bytes(cqi, self.effective_prbs(load))
         probability = self._config.p_max * (1.0 - load)
@@ -164,100 +215,12 @@ class EnbScheduler:
 
 
 # ----------------------------------------------------------------------
-# Lockstep twins (batched engine, repro.sim.batch)
+# Batched twin (batched engine, repro.sim.batch)
 # ----------------------------------------------------------------------
 
 
-class GridScheduler:
-    """Grid-scalar twin of :class:`EnbScheduler`.
-
-    Identical grant arithmetic and burst/idle service process, but the
-    two variates — the geometric burst draw and the per-grant lognormal
-    fast fading — come from block-transformed streams
-    (:mod:`repro.sim.blocks`), pre-applying ``-log`` / ``exp`` to whole
-    blocks so the batched :class:`SchedulerArray` consumes the exact
-    same float64 values.  CQI and cell load are passed in by the caller
-    (the lockstep engines own those processes).
-    """
-
-    __slots__ = (
-        "_p_max", "_backlog_ref", "_prb_quota", "_mean_burst",
-        "_burst", "_fading", "_burst_left", "_idle_left", "_claim",
-    )
-
-    def __init__(self, config: LteConfig, stream, block: int = 1024):
-        from repro.sim.blocks import (
-            BlockStream,
-            lognormal_transform,
-            neglog_uniform_transform,
-        )
-
-        self._p_max = config.p_max
-        self._backlog_ref = config.pf_backlog_ref
-        self._prb_quota = config.prb_quota
-        self._mean_burst = config.scheduling_burst_subframes
-        speed = max(0.0, config.channel.speed_mph)
-        sigma = 0.10 + speed / 300.0
-        self._burst = BlockStream(stream("sched.burst"), neglog_uniform_transform(), block)
-        self._fading = BlockStream(stream("sched.fading"), lognormal_transform(sigma), block)
-        self._burst_left = 0
-        self._idle_left = 0
-        #: Optional per-subframe PRB budget hook — the grid twin of
-        #: :meth:`EnbScheduler.set_cell`'s ``claim_prbs`` wiring.
-        self._claim = None
-
-    def attach_cell(self, view) -> None:
-        """Claim PRBs through a shared-cell member view.
-
-        ``view.claim_prbs`` is the grid analogue of
-        :class:`repro.lte.shared_cell.CellMemberView.claim_prbs`; when
-        attached, every grant's PRBs clip against the cell's remaining
-        per-subframe budget.  A claim of zero returns without drawing a
-        fading variate, keeping the RNG stream aligned with the batched
-        engine's filtered fading take.
-        """
-        self._claim = view.claim_prbs
-
-    def grant_for_subframe(
-        self, reported: float, actual: float, cqi: int, load: float
-    ) -> float:
-        """Transport block size (bytes) granted this subframe (0 = none)."""
-        if reported <= 0.0:
-            return 0.0
-        if cqi <= 0:
-            return 0.0
-        backlog_fraction = min(1.0, reported / self._backlog_ref)
-        probability = (
-            self._p_max * (1.0 - load) * max(MIN_SCHEDULING_FRACTION, backlog_fraction)
-        )
-        if not self._in_service_burst(probability):
-            return 0.0
-        prbs = max(2, int(round(self._prb_quota * (2.0 - load))))
-        if self._claim is not None:
-            prbs = self._claim(prbs)
-            if prbs <= 0:
-                return 0.0
-        capacity = transport_block_bytes(cqi, prbs)
-        fading = self._fading.next()
-        return min(actual, capacity * fading)
-
-    def _in_service_burst(self, duty_cycle: float) -> bool:
-        if self._burst_left > 0:
-            self._burst_left -= 1
-            return True
-        if self._idle_left > 0:
-            self._idle_left -= 1
-            return False
-        duty = min(1.0, max(1e-3, duty_cycle))
-        burst = 1 + int(self._mean_burst * self._burst.next())
-        idle = min(MAX_IDLE_SUBFRAMES, int(round(burst * (1.0 - duty) / duty)))
-        self._burst_left = burst - 1  # this subframe is the burst's first
-        self._idle_left = idle
-        return True
-
-
 class SchedulerArray:
-    """``(n_sessions,)`` vectorised twin of :class:`GridScheduler`.
+    """``(n_sessions,)`` vectorised twin of :class:`EnbScheduler`.
 
     The burst/idle counters live as int64 arrays; a subframe only
     consumes a burst draw (and a fading draw) for the sessions whose
@@ -265,18 +228,12 @@ class SchedulerArray:
     """
 
     def __init__(self, configs, streams, block: int = 1024):
-        from repro.sim.blocks import (
-            BlockStreamArray,
-            lognormal_transform,
-            neglog_uniform_transform,
-        )
-
         n = len(configs)
         self._p_max = np.array([c.p_max for c in configs])
         self._backlog_ref = np.array([c.pf_backlog_ref for c in configs])
         self._prb_quota = np.array([c.prb_quota for c in configs], dtype=np.float64)
         self._mean_burst = np.array([c.scheduling_burst_subframes for c in configs])
-        sigmas = [0.10 + max(0.0, c.channel.speed_mph) / 300.0 for c in configs]
+        sigmas = [fading_sigma(c) for c in configs]
         self._burst_u = BlockStreamArray(
             [streams[s]("sched.burst") for s in range(n)],
             [neglog_uniform_transform()] * n,

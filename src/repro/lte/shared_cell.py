@@ -38,6 +38,8 @@ from typing import List, Optional
 import numpy as np
 
 from repro.config import CellConfig, FleetConfig
+from repro.lte.competitors import UPDATE_INTERVAL as CROWD_INTERVAL
+from repro.lte.competitors import CompetitorCell
 from repro.sim.engine import Simulation
 from repro.units import LTE_SUBFRAME
 
@@ -48,6 +50,17 @@ LOAD_MAX = 0.9
 #: Share denominator guard; also the "never seen a grant" floor of the
 #: PF weight ratio (a member with zero share is maximally boosted).
 _SHARE_EPS = 1e-6
+
+
+def _crowd(config: FleetConfig, rng: np.random.Generator):
+    """The cell's background :class:`~repro.lte.competitors.CompetitorCell`."""
+    return CompetitorCell(
+        CellConfig(
+            background_load=config.background_load,
+            competitor_count=config.background_ues,
+        ),
+        rng,
+    )
 
 
 class _Member:
@@ -123,20 +136,12 @@ class SharedCell:
         if config.background_ues > 0:
             if rng is None:
                 raise ValueError("scheduled background UEs need an rng stream")
-            from repro.lte.competitors import CompetitorCell
-
             # The background crowd is *scheduled load*: its on/off
             # population produces a load fraction, and the cell converts
             # that fraction into PRBs claimed from the shared budget
             # ahead of the members each subframe.
-            self.background = CompetitorCell(
-                sim,
-                CellConfig(
-                    background_load=config.background_load,
-                    competitor_count=config.background_ues,
-                ),
-                rng,
-            )
+            self.background = crowd = _crowd(config, rng)
+            sim.every(CROWD_INTERVAL, lambda: crowd.update(sim._now))
 
     # ------------------------------------------------------------------
     # Membership
@@ -288,34 +293,27 @@ class SharedCell:
 
 
 # ----------------------------------------------------------------------
-# Lockstep twins (batched engine, repro.sim.batch_cell)
+# Lockstep cell (scalar reference and batched twin, repro.sim.batch_cell)
 # ----------------------------------------------------------------------
 
 #: Background-crowd update cadence on the 1 ms grid (subframes).
-_BG_TICKS = int(round(0.05 / LTE_SUBFRAME))  # competitors.UPDATE_INTERVAL
+_BG_TICKS = int(round(CROWD_INTERVAL / LTE_SUBFRAME))
 
 
 def _background_crowd(config: FleetConfig):
-    """The cell's scheduled background population, or ``None``.
+    """The lockstep cell's scheduled background population, or ``None``.
 
-    Both grid twins build the crowd identically — same
-    :class:`~repro.lte.competitors.GridCompetitorCell`, same
+    Both lockstep engines build the crowd identically — same
+    :class:`~repro.lte.competitors.CompetitorCell`, same
     ``fleet.background`` rng stream derived from ``config.seed`` — so
     the scalar and batched engines consume bit-identical background
     loads by construction.
     """
     if config.background_ues <= 0:
         return None
-    from repro.lte.competitors import GridCompetitorCell
     from repro.sim.rng import RngRegistry
 
-    return GridCompetitorCell(
-        CellConfig(
-            background_load=config.background_load,
-            competitor_count=config.background_ues,
-        ),
-        RngRegistry(config.seed).stream("fleet.background"),
-    )
+    return _crowd(config, RngRegistry(config.seed).stream("fleet.background"))
 
 
 class GridCellMemberView:
@@ -367,7 +365,7 @@ class GridSharedCell:
         self._decay = 1.0 - self._alpha
         self._kappa = max(0.0, config.pf_weight_exponent)
         self._weight_max = max(1.0, config.pf_weight_max)
-        #: Per-member fallback load models (``GridCellLoad``) + shares.
+        #: Per-member fallback load models (``CellLoadProcess``) + shares.
         self._fallbacks: list = []
         self._shares: List[float] = []
         self._total = 0.0

@@ -23,11 +23,11 @@ from typing import Callable, Deque, Optional
 import numpy as np
 
 from repro.config import LteConfig
-from repro.lte.channel import ChannelProcess
+from repro.lte.channel import ChannelDraws, ChannelProcess
 from repro.lte.competitors import make_cell_model
 from repro.lte.diagnostics import DiagMonitor
 from repro.lte.firmware_buffer import FirmwareBuffer
-from repro.lte.scheduler import EnbScheduler
+from repro.lte.scheduler import EnbScheduler, SchedulerDraws
 from repro.net.packet import Packet
 from repro.obs.bus import NULL_BUS
 from repro.obs.meter import NULL_METER
@@ -54,9 +54,19 @@ class UeUplink:
         self._config = config
         self._trace = trace
         self._meter = meter
-        self.channel = ChannelProcess(sim, config.channel, rng, trace=trace, meter=meter)
+        # Every LTE process draws from the UE's one generator, in
+        # construction and event order; the simulation clocks them.
+        self.channel = channel = ChannelProcess(
+            config.channel,
+            ChannelDraws.from_generator(rng, config.channel),
+            trace=trace,
+            meter=meter,
+        )
+        sim.every(config.channel.update_interval, lambda: channel.update(sim._now))
         self.cell = make_cell_model(sim, config.cell, rng)
-        self.scheduler = EnbScheduler(config, self.channel, self.cell, rng)
+        self.scheduler = EnbScheduler(
+            config, channel, self.cell, SchedulerDraws.from_generator(rng, config)
+        )
         self.buffer = FirmwareBuffer(config.firmware_buffer_cap)
         self.diag = DiagMonitor(sim, config.diag_interval, trace=trace, meter=meter)
         self._sink = sink
@@ -124,7 +134,7 @@ class UeUplink:
         reported = ring[0]
         level = buffer.level
         ring.append(level)
-        grant = self._grant(reported, level)
+        grant = self._grant(reported, level, self._sim._now)
         tbs = 0.0
         if grant > 0.0:
             completed = buffer.drain(grant)
@@ -157,7 +167,8 @@ _NO_ROUNDS: list = []
 
 
 class UeUplinkArray:
-    """``(n_sessions,)`` vectorised twin of :class:`UeUplink`.
+    """``(n_sessions,)`` vectorised twin of the LTE subframe phase of
+    :class:`repro.telephony.uplink.UplinkSession`.
 
     Owns the per-session channel, cell-load, scheduler and firmware
     buffer arrays, plus the BSR delay ring.  The lockstep engine drives

@@ -63,8 +63,7 @@ from repro.telephony.uplink import (
     SAMPLE_TICKS,
     ReceiverState,
     UplinkProfile,
-    _ms_aligned,
-    _ticks,
+    run_ticks,
 )
 from repro.units import BITS_PER_BYTE
 
@@ -413,13 +412,10 @@ class BatchedSimulation:
             if len(durations) != 1:
                 raise ValueError("mixed config durations; pass duration explicitly")
             duration = durations.pop()
-        if not _ms_aligned(duration) or not _ms_aligned(warmup):
-            raise ValueError("duration and warmup must be on the 1 ms grid")
+        warm_ticks, total_ticks = run_ticks(duration, warmup)
         meter = coerce_meter(meter)
         self._metering = bool(meter)
         t0 = meter.span_start() if meter else 0.0
-        warm_ticks = _ticks(warmup)
-        total_ticks = warm_ticks + _ticks(duration)
         if progress is not None:
             stride = max(1, int(progress_every))
             for k in range(1, total_ticks + 1):

@@ -20,6 +20,13 @@ holds one block per session in :class:`BlockStreamArray` and gathers by
 cursor.  Given the same per-session generator and transform, both read
 the exact same float64 sequence.
 
+The scalar consumers are the production LTE processes themselves
+(:class:`~repro.lte.channel.ChannelProcess`,
+:class:`~repro.lte.cell.CellLoadProcess`,
+:class:`~repro.lte.scheduler.EnbScheduler`): they take each variate
+from a draw callable, which the lockstep reference points at
+``BlockStream.next`` and the event engine at its shared generator.
+
 Transforms receive ``(generator, size)`` and return a float64 array —
 the constructors below build the common ones.
 """

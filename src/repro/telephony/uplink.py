@@ -10,15 +10,19 @@ downstream delay and a jitter-adaptive receiver — with every cadence an
 integer number of subframes.
 
 :class:`UplinkSession` here is the *scalar reference*: it runs the
-profile one session at a time on the event-driven
-:class:`~repro.sim.engine.Simulation` (one master event per subframe),
-composing the production FBCC classes
+profile one session at a time in a plain loop over the 1 ms ticks,
+composing production classes — the LTE processes
+(:class:`~repro.lte.channel.ChannelProcess`,
+:class:`~repro.lte.cell.CellLoadProcess`,
+:class:`~repro.lte.scheduler.EnbScheduler`), the FBCC controllers
 (:class:`~repro.rate_control.fbcc.detector.CongestionDetector`,
 :class:`~repro.rate_control.fbcc.bandwidth.TbsBandwidthEstimator`,
 :class:`~repro.rate_control.fbcc.encoding.EncodingRateControl`,
 :class:`~repro.rate_control.fbcc.rtp.RtpRateControl`) and the
-production :class:`~repro.lte.firmware_buffer.FirmwareBuffer`.  The
-batched engine must reproduce it **bit-for-bit** (same seeds → same
+:class:`~repro.lte.firmware_buffer.FirmwareBuffer`.  The event-driven
+session runs the same LTE classes; here their clock is the tick counter
+and their variates come from block streams.  The batched engine must
+reproduce this reference **bit-for-bit** (same seeds → same
 :class:`~repro.telephony.session.SessionResult` numbers); the
 equivalence test in ``tests/test_batch.py`` enforces this.
 
@@ -43,11 +47,11 @@ import numpy as np
 
 from repro.config import FleetConfig, SessionConfig, VideoConfig
 from repro.lte.cell import UPDATE_INTERVAL as CELL_UPDATE_INTERVAL
-from repro.lte.cell import GridCellLoad
-from repro.lte.channel import GridChannel
+from repro.lte.cell import CellLoadProcess
+from repro.lte.channel import ChannelDraws, ChannelProcess
 from repro.lte.diagnostics import DiagRecord
 from repro.lte.firmware_buffer import FirmwareBuffer
-from repro.lte.scheduler import GridScheduler
+from repro.lte.scheduler import EnbScheduler, SchedulerDraws
 from repro.metrics.summary import SessionLog, SessionSummary
 from repro.rate_control.fbcc.bandwidth import TbsBandwidthEstimator
 from repro.rate_control.fbcc.batch import FallbackRamp
@@ -60,8 +64,7 @@ from repro.rate_control.pacer import (
     MIN_BURST_BYTES,
     PACING_TICK,
 )
-from repro.sim.blocks import BlockStream, lognormal_transform
-from repro.sim.engine import Simulation
+from repro.sim.blocks import BlockStream, lognormal_transform, normal_transform
 from repro.sim.rng import RngRegistry
 from repro.telephony.session import SessionResult
 from repro.units import BITS_PER_BYTE
@@ -84,6 +87,22 @@ def _ms_aligned(value: float) -> bool:
 
 def _ticks(value: float) -> int:
     return int(round(value * 1000.0))
+
+
+def run_ticks(duration: float, warmup: float) -> Tuple[int, int]:
+    """``(warm_ticks, total_ticks)`` of a lockstep run.
+
+    Every lockstep engine checks its run arguments here: each must be a
+    finite, non-negative number of seconds on the 1 ms grid, and a
+    ``ValueError`` names the first one that is not.
+    """
+    for name, value in (("duration", duration), ("warmup", warmup)):
+        if not (0.0 <= value < float("inf")):
+            raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+        if not _ms_aligned(value):
+            raise ValueError(f"{name}={value!r} is not on the 1 ms grid")
+    warm_ticks = _ticks(warmup)
+    return warm_ticks, warm_ticks + _ticks(duration)
 
 
 def batch_unsupported_reason(config: SessionConfig) -> Optional[str]:
@@ -416,25 +435,33 @@ class _GridPacer:
 class UplinkSession:
     """Scalar reference engine for the uplink lockstep profile.
 
-    One master event per 1 ms subframe on the event-driven
-    :class:`Simulation`; every phase of the tick runs in a fixed order
-    the batched engine replays with arrays (see the phase comments in
-    :meth:`_tick`).
+    A plain loop runs :meth:`_tick` once per 1 ms subframe; every phase
+    of the tick runs in a fixed order the batched engine replays with
+    arrays (see the phase comments in :meth:`_tick`).  The LTE processes
+    are the production :class:`~repro.lte.channel.ChannelProcess`,
+    :class:`~repro.lte.cell.CellLoadProcess` and
+    :class:`~repro.lte.scheduler.EnbScheduler`, drawing from the block
+    streams their batched twins read.
     """
 
     def __init__(self, config: SessionConfig):
         self.config = config
         self.profile = UplinkProfile.from_config(config)
-        self.sim = Simulation()
         self.log = SessionLog()
         registry = RngRegistry(config.seed)
         stream = lambda name: registry.stream("batch." + name)  # noqa: E731
 
         profile = self.profile
         lte = config.lte
-        self._channel = GridChannel(lte.channel, stream)
-        self._cell = GridCellLoad(lte.cell, stream)
-        self._sched = GridScheduler(lte, stream)
+        self._channel = ChannelProcess(
+            lte.channel, ChannelDraws.from_streams(stream, lte.channel)
+        )
+        self._cell = CellLoadProcess(
+            lte.cell, BlockStream(stream("cell.z"), normal_transform(), 1024).next
+        )
+        self._sched = EnbScheduler(
+            lte, self._channel, self._cell, SchedulerDraws.from_streams(stream, lte)
+        )
         self._fw = FirmwareBuffer(lte.firmware_buffer_cap)
         self._bsr: Deque[float] = deque([0.0] * profile.bsr_depth, maxlen=profile.bsr_depth)
         self._pacer = _GridPacer(config.video.rtp_payload)
@@ -482,14 +509,7 @@ class UplinkSession:
         #: Cumulative post-grant drained bytes (the fleet fairness base).
         self.bytes_sent = 0.0
         self._baseline_bytes = 0.0
-        #: Shared-cell membership (``GridCellMemberView``) when this
-        #: session was attached to a :class:`~repro.lte.shared_cell.
-        #: GridSharedCell` via :meth:`join_cell`; ``None`` runs the
-        #: session's own independent cell-load model.
-        self._cell_view = None
-        self._k = 0
         self._now = 0.0
-        self._total_ticks = 0
         self._warm_ticks = 0
 
     # -- packet emission (pacer -> firmware buffer) --------------------
@@ -505,9 +525,8 @@ class UplinkSession:
 
     # -- the master tick ------------------------------------------------
 
-    def _tick(self) -> None:
+    def _tick(self, k: int) -> None:
         profile = self.profile
-        self._k = k = self._k + 1
         self._now = now = k * MS
         log = self.log
 
@@ -552,11 +571,7 @@ class UplinkSession:
         reported = ring[0]
         level = fw.level
         ring.append(level)
-        view = self._cell_view
-        load = self._cell.load if view is None else view.load
-        grant = self._sched.grant_for_subframe(
-            reported, level, self._channel.cqi(now), load
-        )
+        grant = self._sched.grant_for_subframe(reported, level, now)
         tbs = 0.0
         if grant > 0.0:
             completed = fw.drain(grant)
@@ -598,9 +613,6 @@ class UplinkSession:
             self._baseline_pacer_drops = self._pacer.dropped_frames
             self._baseline_bytes = self.bytes_sent
 
-        if k < self._total_ticks:
-            self.sim.at((k + 1) * MS, self._tick)
-
     def _deliver_diag(self, k: int, now: float) -> None:
         batch = self._diag_records
         self._diag_records = []
@@ -636,9 +648,7 @@ class UplinkSession:
         cell-load model in the grant path and every PRB grant claims
         against the shared per-subframe budget (the grid counterpart of
         ``TelephonySession``'s ``cell=`` wiring)."""
-        view = cell.add_member(self._cell)
-        self._cell_view = view
-        self._sched.attach_cell(view)
+        self._sched.set_cell(cell.add_member(self._cell))
 
     def _finalise(self, duration: float) -> SessionResult:
         """Close the logs after the last tick (shared by :meth:`run`
@@ -660,13 +670,9 @@ class UplinkSession:
     def run(self, duration: Optional[float] = None, warmup: float = 0.0) -> SessionResult:
         """Run the profile and return logs + summary (reference engine)."""
         duration = duration if duration is not None else self.config.duration
-        if not _ms_aligned(duration) or not _ms_aligned(warmup):
-            raise ValueError("duration and warmup must be on the 1 ms grid")
-        self._warm_ticks = _ticks(warmup)
-        self._total_ticks = self._warm_ticks + _ticks(duration)
-        if self._total_ticks > 0:
-            self.sim.at(MS, self._tick)
-            self.sim.run(self._total_ticks * MS)
+        self._warm_ticks, total_ticks = run_ticks(duration, warmup)
+        for k in range(1, total_ticks + 1):
+            self._tick(k)
         return self._finalise(duration)
 
 
@@ -723,18 +729,14 @@ class UplinkCellSession:
 
         members = self.members
         duration = duration if duration is not None else members[0].config.duration
-        if not _ms_aligned(duration) or not _ms_aligned(warmup):
-            raise ValueError("duration and warmup must be on the 1 ms grid")
-        warm_ticks = _ticks(warmup)
-        total_ticks = warm_ticks + _ticks(duration)
+        warm_ticks, total_ticks = run_ticks(duration, warmup)
         for member in members:
             member._warm_ticks = warm_ticks
-            member._total_ticks = 0  # the cell loop clocks the ticks
         cell = self.cell
         for k in range(1, total_ticks + 1):
             cell.begin_tick(k, k * MS)
             for member in members:
-                member._tick()
+                member._tick(k)
         results = [member._finalise(duration) for member in members]
         member_bytes = tuple(
             member.bytes_sent - member._baseline_bytes for member in members

@@ -11,9 +11,11 @@ import pytest
 from repro.config import SessionConfig
 from repro.experiments.batch import BatchRunner, plan_cohorts, run_batched_sessions
 from repro.sim.batch import BatchedSimulation, run_batched
+from repro.sim.batch_cell import run_batched_cell
 from repro.telephony.uplink import (
     UplinkProfile,
     batch_unsupported_reason,
+    run_uplink_cell,
     run_uplink_session,
 )
 
@@ -125,6 +127,25 @@ def test_unsupported_configs_are_reported_and_rejected():
         run_batched([off_grid])
     with pytest.raises(ValueError):
         run_uplink_session(off_grid)
+
+
+LOCKSTEP_ENGINES = {
+    "scalar": run_uplink_session,
+    "batched": lambda config, **run: run_batched([config], **run),
+    "scalar_cell": lambda config, **run: run_uplink_cell(config, ues=2, **run),
+    "batched_cell": lambda config, **run: run_batched_cell(config, ues=2, **run),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(LOCKSTEP_ENGINES))
+@pytest.mark.parametrize("field", ["duration", "warmup"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, 0.0005])
+def test_bad_run_arguments_name_the_field(engine, field, value):
+    """NaN, infinite, negative and off-grid durations and warm-ups are
+    rejected before the run with a ValueError naming the argument."""
+    run = {"duration": 1.0, "warmup": 0.0, field: value}
+    with pytest.raises(ValueError, match=f"^{field}"):
+        LOCKSTEP_ENGINES[engine](lockstep_config(duration=1.0), **run)
 
 
 def test_mixed_cadence_cohort_rejected():

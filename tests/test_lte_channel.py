@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 
 from repro.config import ChannelConfig
-from repro.lte.channel import ChannelProcess
+from repro.lte.channel import ChannelDraws, ChannelProcess
 from repro.sim.engine import Simulation
 from repro.sim.rng import RngRegistry
 
 
 def _run_channel(config, seconds=60.0, seed=3):
     sim = Simulation()
-    channel = ChannelProcess(sim, config, RngRegistry(seed).stream("ch"))
+    channel = ChannelProcess(
+        config, ChannelDraws.from_generator(RngRegistry(seed).stream("ch"), config)
+    )
+    sim.every(config.update_interval, lambda: channel.update(sim.now))
     samples = []
-    sim.every(0.05, lambda: samples.append((channel.rss_dbm, channel.cqi())))
+    sim.every(0.05, lambda: samples.append((channel.rss_dbm, channel.cqi(sim.now))))
     sim.run(seconds)
     return channel, samples
 
@@ -71,10 +74,11 @@ def test_deep_fades_attenuate_rss():
 def test_mobility_compresses_correlation_time():
     static = ChannelConfig(speed_mph=0.0, deep_fade_rate_per_min=0.0)
     moving = dataclasses.replace(static, speed_mph=50.0)
-    sim = Simulation()
     rng = RngRegistry(1)
-    static_process = ChannelProcess(sim, static, rng.stream("a"))
-    moving_process = ChannelProcess(sim, moving, rng.stream("b"))
+    static_draws = ChannelDraws.from_generator(rng.stream("a"), static)
+    moving_draws = ChannelDraws.from_generator(rng.stream("b"), moving)
+    static_process = ChannelProcess(static, static_draws)
+    moving_process = ChannelProcess(moving, moving_draws)
     assert moving_process._corr_time < static_process._corr_time
     assert moving_process._sigma > static_process._sigma
 

@@ -5,8 +5,8 @@ import pytest
 
 from repro.config import CellConfig, ChannelConfig, LteConfig
 from repro.lte.cell import CellLoadProcess
-from repro.lte.channel import ChannelProcess
-from repro.lte.scheduler import EnbScheduler
+from repro.lte.channel import ChannelDraws, ChannelProcess
+from repro.lte.scheduler import EnbScheduler, SchedulerDraws
 from repro.sim.engine import Simulation
 from repro.sim.rng import RngRegistry
 from repro.units import kbytes
@@ -21,9 +21,13 @@ def _build(load=0.1, rss=-82.0, seed=1):
         ),
         cell=CellConfig(background_load=load, load_sigma=0.0),
     )
-    channel = ChannelProcess(sim, config.channel, rng.stream("ch"))
-    cell = CellLoadProcess(sim, config.cell, rng.stream("cell"))
-    scheduler = EnbScheduler(config, channel, cell, rng.stream("sched"))
+    channel = ChannelProcess(
+        config.channel, ChannelDraws.from_generator(rng.stream("ch"), config.channel)
+    )
+    cell = CellLoadProcess(config.cell, rng.stream("cell").normal)
+    scheduler = EnbScheduler(
+        config, channel, cell, SchedulerDraws.from_generator(rng.stream("sched"), config)
+    )
     return sim, scheduler, config
 
 
@@ -31,18 +35,18 @@ def _mean_grant_rate(scheduler, backlog, subframes=30_000):
     """Average service rate (bps) at a steadily-held backlog."""
     total = 0.0
     for _ in range(subframes):
-        total += scheduler.grant_for_subframe(backlog, backlog)
+        total += scheduler.grant_for_subframe(backlog, backlog, 0.0)
     return total * 8.0 / (subframes / 1000.0)
 
 
 def test_no_grant_without_backlog():
     _, scheduler, _ = _build()
-    assert scheduler.grant_for_subframe(0.0, 0.0) == 0.0
+    assert scheduler.grant_for_subframe(0.0, 0.0, 0.0) == 0.0
 
 
 def test_grant_never_exceeds_actual_backlog():
     _, scheduler, _ = _build()
-    grants = [scheduler.grant_for_subframe(kbytes(50), 500.0) for _ in range(5000)]
+    grants = [scheduler.grant_for_subframe(kbytes(50), 500.0, 0.0) for _ in range(5000)]
     assert max(grants) <= 500.0
 
 
@@ -87,7 +91,7 @@ def test_effective_prbs_shrink_with_load():
 def test_service_arrives_in_bursts():
     """Consecutive scheduled subframes cluster (burst/idle process)."""
     _, scheduler, _ = _build()
-    served = [scheduler.grant_for_subframe(kbytes(10), kbytes(10)) > 0 for _ in range(20_000)]
+    served = [scheduler.grant_for_subframe(kbytes(10), kbytes(10), 0.0) > 0 for _ in range(20_000)]
     transitions = sum(1 for a, b in zip(served, served[1:]) if a != b)
     duty = float(np.mean(served))
     # An i.i.d. Bernoulli process would flip ~2*duty*(1-duty) per slot;
@@ -98,4 +102,4 @@ def test_service_arrives_in_bursts():
 
 def test_saturation_rate_estimate_positive():
     _, scheduler, _ = _build()
-    assert scheduler.saturation_rate_bps() > 1e6
+    assert scheduler.saturation_rate_bps(0.0) > 1e6

@@ -316,6 +316,39 @@ def test_span_catalogue_is_complete_and_consistent():
         assert spec.description
 
 
+def _resolve_site(site):
+    """Import the longest module prefix of ``site``, then walk attributes."""
+    import importlib
+
+    parts = site.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            target = getattr(target, name)
+        return target
+    raise ImportError(site)
+
+
+@pytest.mark.parametrize(
+    "catalogue", [EVENT_CATALOGUE, METRIC_CATALOGUE, SPAN_CATALOGUE],
+    ids=["events", "metrics", "spans"],
+)
+def test_catalogue_sites_resolve(catalogue):
+    """Every emitting site names a real module attribute, so renaming
+    an emitter without updating its catalogue entry fails here."""
+    unresolved = []
+    for spec in catalogue.values():
+        for site in spec.site.split(" / "):
+            try:
+                _resolve_site(site)
+            except (ImportError, AttributeError):
+                unresolved.append((spec.name, site))
+    assert not unresolved
+
+
 def test_observability_doc_mentions_every_metric_and_span():
     from pathlib import Path
 
