@@ -25,6 +25,7 @@ import numpy as np
 from repro.experiments.parallel import (
     CellBlockTask,
     CellTask,
+    PackedCellBlocksTask,
     ProgressCallback,
     merged_meter,
     resolve_jobs,
@@ -37,6 +38,16 @@ from repro.telephony.fleet import CellResult
 #: between members of one cell, so no two simulated UEs in a sweep can
 #: collide on a seed (cells would need >1000 members).
 CELL_SEED_STRIDE = 1_000_000
+
+
+def _check_sweep(calls: Sequence[int], cells: int) -> None:
+    """Reject a sweep with no points, no cells or an empty cell."""
+    if cells < 1:
+        raise ValueError(f"cells must be >= 1, got {cells!r}")
+    if not calls:
+        raise ValueError("calls must name at least one calls-per-cell value")
+    if any(ues < 1 for ues in calls):
+        raise ValueError("calls-per-cell values must be >= 1")
 
 
 def _finite_mean(values: Sequence[float]) -> float:
@@ -104,10 +115,9 @@ def fleet_tasks(
     meter: bool = False,
 ) -> List[CellTask]:
     """The sweep's task list, in deterministic (point, cell) order."""
+    _check_sweep(calls, cells)
     tasks: List[CellTask] = []
     for point_index, ues in enumerate(calls):
-        if ues < 1:
-            raise ValueError("calls-per-cell values must be >= 1")
         for cell_index in range(cells):
             tasks.append(
                 CellTask(
@@ -185,14 +195,15 @@ def fleet_batch_tasks(
     :func:`fleet_tasks` and are chunked into at most ``jobs`` contiguous
     blocks; the partition affects wall clock only (cells are independent
     — the flattened results are byte-equal for any block split).
+    :func:`fleet_sweep` then packs the blocks of every point into at
+    most ``jobs`` engine runs (:func:`pack_cell_blocks`).
     ``meter`` attaches live per-cell engine meters, ``heartbeat_path``
     streams each block's tick progress into a run-ledger heartbeat file.
     """
+    _check_sweep(calls, cells)
     workers = resolve_jobs(jobs)
     tasks: List[CellBlockTask] = []
     for point_index, ues in enumerate(calls):
-        if ues < 1:
-            raise ValueError("calls-per-cell values must be >= 1")
         seeds = [
             seed + CELL_SEED_STRIDE * (point_index * cells + cell_index)
             for cell_index in range(cells)
@@ -221,6 +232,38 @@ def fleet_batch_tasks(
             )
             start = stop
     return tasks
+
+
+def pack_cell_blocks(
+    tasks: Sequence[CellBlockTask], runs: int
+) -> List[PackedCellBlocksTask]:
+    """Pack a sweep's blocks into at most ``runs`` engine runs.
+
+    The runs take contiguous slices of ``tasks`` (so flattening their
+    results keeps task order) balanced by session count: run ``i`` ends
+    at the first block whose cumulative session count reaches
+    ``(i + 1) / runs`` of the total, leaving at least one block for
+    each later run.  Packing moves wall clock only — every cell's
+    result equals its own block's run.
+    """
+    tasks = list(tasks)
+    runs = max(1, min(runs, len(tasks)))
+    total = sum(task.ues * len(task.seeds) for task in tasks)
+    packed: List[PackedCellBlocksTask] = []
+    current: List[CellBlockTask] = []
+    done = 0
+    for index, task in enumerate(tasks):
+        current.append(task)
+        done += task.ues * len(task.seeds)
+        later_runs = runs - len(packed) - 1
+        later_blocks = len(tasks) - index - 1
+        if later_runs and (
+            done >= total * (len(packed) + 1) / runs or later_blocks == later_runs
+        ):
+            packed.append(PackedCellBlocksTask(tuple(current)))
+            current = []
+    packed.append(PackedCellBlocksTask(tuple(current)))
+    return packed
 
 
 def _aggregate(ues: int, results: Sequence[CellResult]) -> FleetPoint:
@@ -259,8 +302,10 @@ def fleet_sweep(
     in task order, so the output is independent of ``jobs``.
 
     ``batch=True`` runs the same seed schedule on the batched cell
-    engine (:mod:`repro.sim.batch_cell`): whole cell blocks shard across
-    the pool instead of single cells, the scenario is coerced onto the
+    engine (:mod:`repro.sim.batch_cell`): the sweep's cell blocks, all
+    points together, are packed into at most ``jobs`` engine runs
+    (:func:`pack_cell_blocks`) that shard across the pool instead of
+    single cells, the scenario is coerced onto the
     lockstep grid (:func:`lockstep_scenario`), the ``fleet.*`` registry
     is metered **live** inside the engine's tick loop (per-cell meters
     from :meth:`~repro.sim.batch_cell.BatchedCellSimulation.run_cells`,
@@ -270,11 +315,13 @@ def fleet_sweep(
     sharded batch sweeps remain byte-equal; batch and event sweeps are
     statistically comparable, not bitwise (different engines).
 
-    ``heartbeat_path`` (batch path only) streams each block's
+    ``heartbeat_path`` (batch path only) streams each engine run's
     tick-by-tick cohort progress into a run-ledger heartbeat file while
     the sweep runs.
     """
     calls = list(calls)
+    _check_sweep(calls, cells)
+    workers = resolve_jobs(jobs)
     if batch:
         if kwargs.pop("rotate_profiles", False):
             raise ValueError(
@@ -290,8 +337,9 @@ def fleet_sweep(
             heartbeat_path=heartbeat_path,
             **kwargs,
         )
-        blocks = run_tasks(tasks, jobs=jobs, progress=progress)
-        results = [cell for block in blocks for cell in block]
+        runs = pack_cell_blocks(tasks, workers)
+        packed = run_tasks(runs, jobs=jobs, progress=progress)
+        results = [cell for run in packed for block in run for cell in block]
     else:
         tasks = fleet_tasks(
             scenario_name, calls, cells=cells, meter=meter, **kwargs
@@ -304,7 +352,7 @@ def fleet_sweep(
     points = [_aggregate(ues, group) for ues, group in zip(calls, grouped)]
     fleet = None
     if meter:
-        fleet = merged_meter(results, workers=resolve_jobs(jobs))
+        fleet = merged_meter(results, workers=workers)
     return FleetSweepResult(points=points, cells=grouped, meter=fleet)
 
 

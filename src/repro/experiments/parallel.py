@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.obs.meter import SessionMeter
 from repro.telephony.session import SessionResult
@@ -186,15 +186,16 @@ class CellTask:
 class CellBlockTask:
     """Everything a worker process needs to run one *batched cell block*.
 
-    The ``--batch`` sharding unit: one task is one
-    :class:`repro.sim.batch_cell.BatchedCellSimulation` advancing a
-    contiguous run of a sweep's cells (same calls-per-cell, consecutive
-    seeds) in lockstep.  Cells never couple with each other, so how a
-    point's cells are partitioned into blocks changes wall clock only —
-    the flattened per-cell results (and hence the merged registries) are
-    byte-equal for any partition, including the serial one-block case.
-    ``run()`` returns a list of :class:`repro.telephony.fleet.CellResult`
-    in seed order.
+    The ``--batch`` planning unit: one task describes a contiguous run
+    of one sweep point's cells (consecutive seeds, ``ues`` callers
+    each) for a :class:`repro.sim.batch_cell.BatchedCellSimulation`.
+    Cells never couple with each other, so how cells are partitioned
+    into blocks — and how blocks are packed into engine runs
+    (:class:`PackedCellBlocksTask`, which may mix member counts) —
+    changes wall clock only: the flattened per-cell results (and hence
+    the merged registries) are byte-equal for any partition, including
+    the serial one-block case.  ``run()`` returns a list of
+    :class:`repro.telephony.fleet.CellResult` in seed order.
     """
 
     scenario_name: str
@@ -218,10 +219,10 @@ class CellBlockTask:
     #: :func:`repro.obs.ledger.cohort_heartbeat_callback`).
     heartbeat_path: Optional[str] = None
 
-    def run(self) -> List:
+    def build(self) -> Tuple[List[List], List]:
+        """The block's per-cell member configs and fleet configs."""
         from repro.config import FleetConfig
         from repro.experiments.fleet import lockstep_scenario
-        from repro.sim.batch_cell import run_batched_cells
         from repro.telephony.fleet import member_configs
 
         cells = []
@@ -244,21 +245,70 @@ class CellBlockTask:
                     seed=seed,
                 )
             )
+        return cells, fleets
+
+    def run(self) -> List:
+        return PackedCellBlocksTask((self,)).run()[0]
+
+
+@dataclass(frozen=True)
+class PackedCellBlocksTask:
+    """Several :class:`CellBlockTask` blocks run as *one* engine run.
+
+    The ``--batch`` sharding unit: the blocks' cells — whatever their
+    member counts — tick together in a single
+    :class:`repro.sim.batch_cell.BatchedCellSimulation`, so a whole
+    capacity sweep pays the per-tick cost once instead of once per
+    point.  The blocks must share ``duration``, ``warmup`` and
+    ``meter`` (and, like every lockstep block, one grid signature);
+    the first block's heartbeat file and first seed label the run's
+    cohort-progress stream.  ``run()`` returns one ``CellResult`` list
+    per block, in block order — each equal to that block's own
+    :meth:`CellBlockTask.run`.
+    """
+
+    blocks: tuple
+
+    def run(self) -> List[List]:
+        from repro.sim.batch_cell import run_batched_cells
+
+        first = self.blocks[0]
+        cells: List[List] = []
+        fleets: List = []
+        for block in self.blocks:
+            if (block.duration, block.warmup, block.meter) != (
+                first.duration,
+                first.warmup,
+                first.meter,
+            ):
+                raise ValueError(
+                    "packed cell blocks must share duration, warmup and meter"
+                )
+            block_cells, block_fleets = block.build()
+            cells.extend(block_cells)
+            fleets.extend(block_fleets)
         progress = None
-        if self.heartbeat_path is not None:
+        if first.heartbeat_path is not None:
             from repro.obs.ledger import cohort_heartbeat_callback
 
             progress = cohort_heartbeat_callback(
-                self.heartbeat_path, label=self.seeds[0] if self.seeds else 0
+                first.heartbeat_path, label=first.seeds[0] if first.seeds else 0
             )
-        return run_batched_cells(
+        results = run_batched_cells(
             cells,
             fleets=fleets,
-            duration=self.duration,
-            warmup=self.warmup,
-            meter=self.meter,
+            duration=first.duration,
+            warmup=first.warmup,
+            meter=first.meter,
             progress=progress,
         )
+        per_block = []
+        start = 0
+        for block in self.blocks:
+            stop = start + len(block.seeds)
+            per_block.append(results[start:stop])
+            start = stop
+        return per_block
 
 
 def _run_task(task):
@@ -274,8 +324,9 @@ def run_tasks(
     """Run tasks, fanning across processes; results are in task order.
 
     Tasks are anything with a picklable ``.run()`` — per-session
-    :class:`SessionTask` or per-cell :class:`CellTask` (whole cells are
-    the sharding unit for fleet sweeps).
+    :class:`SessionTask`, per-cell :class:`CellTask` (whole cells are
+    the sharding unit for event fleet sweeps) or
+    :class:`PackedCellBlocksTask` (batched fleet sweeps).
 
     Falls back to serial execution — no pool spin-up, no pickling —
     whenever a pool cannot win: one effective worker or at most one

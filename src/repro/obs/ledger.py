@@ -129,7 +129,8 @@ def cohort_heartbeat_callback(
     Returns a callable with the :meth:`repro.sim.batch.BatchedSimulation.run`
     progress signature ``(tick, total_ticks, n_sessions)`` that appends
     one heartbeat record per invocation.  Safe to build inside a worker
-    process (:class:`repro.experiments.parallel.CellBlockTask` does):
+    process (:class:`repro.experiments.parallel.PackedCellBlocksTask`
+    does):
     records carry the worker's ``pid`` and an optional cohort ``label``
     so interleaved streams stay separable, and ``tick`` is monotone per
     ``(pid, label)`` stream.
@@ -310,8 +311,9 @@ class RunLedger:
         """Merge a finished task's meter(s) into the live registry.
 
         Accepts anything with a ``.meter`` attribute (``SessionResult``,
-        ``CellResult``) or a list of such (a :class:`~repro.experiments.
-        parallel.CellBlockTask` returns one result list per block).
+        ``CellResult``) or nested lists of such (a :class:`~repro.
+        experiments.parallel.PackedCellBlocksTask` returns one result
+        list per block).
         """
         if result is None:
             return

@@ -1,16 +1,19 @@
-"""Batched shared-cell engine: C cells × N members per lockstep tick.
+"""Batched shared-cell engine: C cells of any member counts per lockstep tick.
 
 :class:`BatchedCellSimulation` extends the independent-cohort
 :class:`repro.sim.batch.BatchedSimulation` with the cell coupling of
 docs/FLEET.md: the flat cohort is the cell-major concatenation of C
-cells' member lists, and one :class:`repro.lte.shared_cell.
-SharedCellArray` holds every cell's realized-share EWMAs as a ``(C, N)``
-array, computes all members' PF-coupled effective loads row-wise, and
-clips every PRB grant against the per-cell per-subframe budgets in a
-single order-preserving claim pass.
+cells' member lists (cells may differ in size), and one
+:class:`repro.lte.shared_cell.SharedCellArray` holds every cell's
+realized-share EWMAs as a zero-padded ``(C, N_max)`` array, computes all
+members' PF-coupled effective loads in one pass, and clips every PRB
+grant against the per-cell per-subframe budgets in a single
+order-preserving claim pass.
 
 Bit-exactness contract (``tests/test_batch_cell.py``):
 
+- a cell run inside any block equals the same cell run alone (cells
+  never couple, whatever their member counts);
 - a **C=1** batched cell reproduces the scalar reference
   :class:`repro.telephony.uplink.UplinkCellSession` to the bit — logs,
   summaries, member bytes, Jain index;
@@ -27,6 +30,7 @@ convergence test asserts Jain/MOS agreement, not bitwise equality.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import List, Optional, Sequence
 
@@ -38,7 +42,7 @@ from repro.metrics.stats import jain_index
 from repro.obs.meter import SessionMeter
 from repro.sim.batch import BatchedSimulation
 from repro.telephony.fleet import CellResult, member_configs
-from repro.telephony.uplink import UplinkProfile, cell_batch_unsupported_reason
+from repro.telephony.uplink import cell_batch_unsupported_reason
 from repro.video.quality import mos_score
 
 
@@ -63,11 +67,11 @@ def _cell_fleets(
 
 
 class BatchedCellSimulation(BatchedSimulation):
-    """Advance a homogeneous block of C shared cells in 1 ms lockstep.
+    """Advance a block of C shared cells in 1 ms lockstep.
 
-    ``cells`` is a sequence of per-cell member-config lists; every cell
-    must have the same member count and every member the same grid
-    cadences (:meth:`UplinkProfile.cell_signature`), while per-member
+    ``cells`` is a sequence of per-cell member-config lists of any
+    lengths; every member of the block must share the grid cadences
+    (:meth:`UplinkProfile.signature`), while member counts, per-member
     parameters and per-cell fleet parameters (PRB budget, PF coupling,
     background population) may vary freely.  ``fleets`` is one
     :class:`FleetConfig` per cell (a single instance is replicated; note
@@ -89,27 +93,15 @@ class BatchedCellSimulation(BatchedSimulation):
                 raise ValueError(
                     f"cell unsupported by the batched cell engine: {reason}"
                 )
-        signature = UplinkProfile.from_config(cells[0][0]).cell_signature(
-            len(cells[0])
-        )
-        for members in cells[1:]:
-            other = UplinkProfile.from_config(members[0]).cell_signature(
-                len(members)
-            )
-            if other != signature:
-                raise ValueError(
-                    "cell block is not structurally homogeneous: "
-                    f"{other} != {signature} "
-                    "(group cells with plan_cell_blocks)"
-                )
         self.cells = cells
         self.fleets = fleet_list
-        self.members_per_cell = len(cells[0])
+        counts = [len(members) for members in cells]
+        #: Flat-cohort offsets: cell ``c`` owns sessions
+        #: ``bounds[c]:bounds[c + 1]``.
+        self._bounds = list(itertools.accumulate(counts, initial=0))
         flat = [config for members in cells for config in members]
         super().__init__(flat)
-        self._cells = SharedCellArray(
-            fleet_list, self.members_per_cell, self._ue.cell
-        )
+        self._cells = SharedCellArray(fleet_list, counts, self._ue.cell)
         #: Per-cell count of subframes that ended with the PRB budget
         #: exhausted — telemetry only, accumulated behind the metering
         #: flag and never read by the simulation.
@@ -154,14 +146,13 @@ class BatchedCellSimulation(BatchedSimulation):
         """
         engine = SessionMeter() if meter else None
         results = self.run(duration, warmup=warmup, meter=engine, progress=progress)
-        bytes_sent = self._ue.bytes_sent - self._baseline_bytes
-        n = self.members_per_cell
+        bytes_sent = (self._ue.bytes_sent - self._baseline_bytes).tolist()
+        bounds = self._bounds
         cell_results = []
         for index, fleet in enumerate(self.fleets):
-            members = results[index * n : (index + 1) * n]
-            member_bytes = tuple(
-                float(value) for value in bytes_sent[index * n : (index + 1) * n]
-            )
+            lo, hi = bounds[index], bounds[index + 1]
+            members = results[lo:hi]
+            member_bytes = tuple(bytes_sent[lo:hi])
             member_mos = tuple(
                 mos_score(result.summary.quality.mos_pdf) for result in members
             )
@@ -172,7 +163,7 @@ class BatchedCellSimulation(BatchedSimulation):
                     jain=jain_index(member_bytes),
                     member_bytes=member_bytes,
                     member_mos=member_mos,
-                    meter=self._one_cell_meter(index, cell_results=members)
+                    meter=self._one_cell_meter(index, members, member_bytes)
                     if meter
                     else None,
                 )
@@ -181,18 +172,14 @@ class BatchedCellSimulation(BatchedSimulation):
             cell_results[0].meter.merge(engine)
         return cell_results
 
-    def _one_cell_meter(self, index: int, cell_results) -> SessionMeter:
+    def _one_cell_meter(self, index: int, members, member_bytes) -> SessionMeter:
         """The live per-cell registry (see :meth:`run_cells`)."""
-        n = self.members_per_cell
-        bytes_sent = self._ue.bytes_sent - self._baseline_bytes
-        member_bytes = [
-            float(value) for value in bytes_sent[index * n : (index + 1) * n]
-        ]
+        n = len(members)
         meter = SessionMeter()
         meter.inc("fleet.cells")
         meter.observe("fleet.cell_members", float(n))
         meter.observe("fleet.cell_jain", jain_index(member_bytes))
-        for result in cell_results:
+        for result in members:
             mos = mos_score(result.summary.quality.mos_pdf)
             if not math.isnan(mos):
                 meter.observe("fleet.member_mos", mos)

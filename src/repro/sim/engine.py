@@ -288,7 +288,15 @@ class Simulation:
         callback schedules *at* the deadline while the run is draining —
         and the clock ends at exactly the deadline.  Events strictly
         beyond the deadline stay queued for a later ``run()``.
+
+        ``duration`` must be finite and non-negative (``None`` runs until
+        the queue is empty): a NaN deadline is never reached and a
+        negative one would move the clock backwards.
         """
+        if duration is not None and not 0.0 <= duration < math.inf:
+            raise ValueError(
+                f"duration must be finite and >= 0 (duration={duration!r})"
+            )
         deadline = math.inf if duration is None else self._now + duration
         if self.trace:
             self.trace.emit("sim.run_begin", deadline=deadline, pending=self._live)

@@ -223,8 +223,10 @@ class UplinkProfile:
         )
 
     def signature(self) -> tuple:
-        """Cohort-homogeneity key: sessions batched together must share
-        every grid cadence (per-session *parameters* may differ)."""
+        """Lockstep-homogeneity key: sessions batched together — in one
+        cohort or one cell block, whatever the cells' member counts —
+        must share every grid cadence (per-session *parameters* may
+        differ)."""
         return (
             self.chan_ticks,
             self.cell_ticks,
@@ -238,13 +240,6 @@ class UplinkProfile:
             self.k_consecutive,
             self.tbs_window,
         )
-
-    def cell_signature(self, members: int) -> tuple:
-        """Cell-block homogeneity key: cells batched together must share
-        every member cadence *and* the member count (per-cell fleet
-        parameters — PRB budget, PF coupling, background — may
-        differ)."""
-        return self.signature() + (members,)
 
 
 class ReceiverState:

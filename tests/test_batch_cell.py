@@ -1,6 +1,7 @@
 """Batched shared-cell engine: bit-exact equivalence with the scalar
 cell reference, N=1 degeneration to the independent cohort, the
-cell-homogeneity contract, budget-exhaustion ordering, and statistical
+cell-homogeneity contract, blocks of unequal member counts, packed
+capacity sweeps, budget-exhaustion ordering, and statistical
 convergence against the event-driven fleet."""
 
 import dataclasses
@@ -10,6 +11,13 @@ import numpy as np
 import pytest
 
 from repro.config import FleetConfig
+from repro.experiments.fleet import (
+    deterministic_registry_dict,
+    fleet_batch_tasks,
+    fleet_sweep,
+    fleet_tasks,
+    pack_cell_blocks,
+)
 from repro.lte.shared_cell import GridSharedCell, SharedCellArray
 from repro.sim.batch import run_batched
 from repro.sim.batch_cell import (
@@ -98,55 +106,106 @@ def test_heterogeneous_cells_rejected():
     with pytest.raises(ValueError, match="unsupported"):
         BatchedCellSimulation([mixed_cadence], fleets=[fleet])
 
-    # Unequal member counts across cells break the block signature.
-    with pytest.raises(ValueError, match="homogeneous"):
-        BatchedCellSimulation(
-            [member_configs(aligned, 2), member_configs(aligned, 3)]
+
+def test_unequal_member_counts_match_solo_cells():
+    """Cells of 1, 3 and 8 members tick in one block, each equal to the
+    same cell run alone: logs, summaries, member bytes, Jain index and
+    the live per-cell meters.  The 8-member cell's small PRB budget runs
+    out partway through its member list."""
+    base = lockstep_config(seed=21, duration=3.0)
+    cells = [
+        member_configs(replace(base, seed=21), 1),
+        member_configs(
+            lockstep_config(seed=22, rss=-105.0, speed=30.0, load=0.4, duration=3.0),
+            3,
+        ),
+        member_configs(replace(base, seed=23), 8),
+    ]
+    fleets = [
+        FleetConfig(ues=1, seed=21, background_ues=5, background_load=0.3),
+        FleetConfig(ues=3, seed=22, prb_budget=40, pf_weight_exponent=0.5),
+        FleetConfig(
+            ues=8, seed=23, prb_budget=18, background_ues=3, background_load=0.2
+        ),
+    ]
+    block = run_batched_cells(cells, fleets=fleets, warmup=0.5, meter=True)
+    assert [len(cell.results) for cell in block] == [1, 3, 8]
+    for members, fleet, blocked in zip(cells, fleets, block):
+        solo = run_batched_cells(
+            [members], fleets=[fleet], warmup=0.5, meter=True
+        )[0]
+        assert_cells_bit_identical(solo, blocked)
+        assert deterministic_registry_dict(solo.meter) == (
+            deterministic_registry_dict(blocked.meter)
         )
+    exhausted = block[2].meter.metrics.counters["fleet.cell_prb_exhausted"]
+    assert 0 < exhausted < 3500
 
 
-def test_claim_rows_matches_sequential_claims_under_exhaustion():
-    """The vectorised claim pass equals member-by-member sequential
-    claims — including the tick where the budget runs out mid-list."""
-    fleet = FleetConfig(ues=4, seed=0, prb_budget=30)
+def _check_claims_against_sequential(fleets, counts, ticks=200):
+    """Drive :class:`SharedCellArray` and per-cell :class:`GridSharedCell`
+    references through the same random claims; every load, grant,
+    budget and share must agree exactly."""
 
     class _Flat:
-        load = np.zeros(8)
+        load = np.zeros(sum(counts))
 
-    array = SharedCellArray([fleet, fleet], 4, _Flat())
-    scalar = [GridSharedCell(fleet), GridSharedCell(fleet)]
+    array = SharedCellArray(fleets, counts, _Flat())
+    scalar = [GridSharedCell(fleet) for fleet in fleets]
 
     class _Zero:
         load = 0.0
 
-    for cell in scalar:
-        for _ in range(4):
+    for cell, count in zip(scalar, counts):
+        for _ in range(count):
             cell.add_member(_Zero())
+    owner = [(c, m) for c, count in enumerate(counts) for m in range(count)]
 
     rng = np.random.default_rng(42)
-    for k in range(1, 200):
+    for k in range(1, ticks):
         now = k * 1e-3
         loads = array.member_loads(k, now)
-        for index, cell in enumerate(scalar):
+        for cell in scalar:
             cell.begin_tick(k, now)
-            for member in range(4):
-                assert loads[index * 4 + member] == cell.load_for(member)
+        for row, (c, m) in enumerate(owner):
+            assert loads[row] == scalar[c].load_for(m)
         # Random subset of members demand random PRB counts; demands
-        # routinely exceed the 30-PRB budgets.
-        mask = rng.random(8) < 0.8
+        # routinely exceed the cells' budgets.
+        mask = rng.random(len(owner)) < 0.8
         rows = np.nonzero(mask)[0]
         if not rows.size:
             continue
         prbs = rng.integers(2, 26, size=rows.size)
         grants = array.claim_rows(rows, prbs.astype(np.float64))
         for row, demand, granted in zip(rows, prbs, grants):
-            expected = scalar[row // 4].claim(row % 4, int(demand))
-            assert granted == float(expected)
+            c, m = owner[row]
+            assert granted == float(scalar[c].claim(m, int(demand)))
         for index, cell in enumerate(scalar):
             assert array.budget_left[index] == cell.budget_left
-    assert [s for cell in scalar for s in cell._shares] == list(
-        array._shares.reshape(-1)
-    )
+    for index, (cell, count) in enumerate(zip(scalar, counts)):
+        assert cell._shares == list(array._shares[index, :count])
+        assert not array._shares[index, count:].any()
+
+
+def test_claim_rows_matches_sequential_claims_under_exhaustion():
+    """The vectorised claim pass equals member-by-member sequential
+    claims — including the tick where the budget runs out mid-list."""
+    fleet = FleetConfig(ues=4, seed=0, prb_budget=30)
+    _check_claims_against_sequential([fleet, fleet], [4, 4])
+
+
+def test_claim_rows_with_unequal_member_counts_matches_sequential_claims():
+    """Cells of 1, 5 and 3 members in one array — the 1-member row keeps
+    its exact PF weight of 1.0, the padded slots stay zero, and budgets
+    run out mid-list in the larger cells."""
+    fleets = [
+        FleetConfig(ues=1, seed=0, prb_budget=20),
+        FleetConfig(ues=5, seed=1, prb_budget=30, pf_weight_exponent=0.7),
+        FleetConfig(
+            ues=3, seed=2, prb_budget=25, background_ues=4, background_load=0.4
+        ),
+    ]
+    _check_claims_against_sequential(fleets, [1, 5, 3], ticks=400)
 
 
 def test_metered_cell_run_is_bit_identical_to_plain():
@@ -225,3 +284,45 @@ def test_batched_fleet_converges_with_event_fleet():
     solo = run_batched([config], warmup=3.0)[0]
     solo_bytes = solo.summary.throughput.mean * 12.0 / 8.0
     assert max(batched.member_bytes) < solo_bytes
+
+
+def test_packed_sweep_equals_per_point_blocks():
+    """``fleet_sweep(batch=True, jobs=1)`` ticks every point's cells in
+    one engine run; each cell equals its own per-point block run."""
+    kwargs = dict(
+        calls=[1, 2, 4], cells=2, duration=2.0, warmup=0.5, seed=5,
+        background_ues=3, background_load=0.3, prb_budget=30,
+    )
+    sweep = fleet_sweep("cellular", jobs=1, batch=True, meter=True, **kwargs)
+    tasks = fleet_batch_tasks("cellular", jobs=2, meter=True, **kwargs)
+    assert len(tasks) == 6 and all(len(task.seeds) == 1 for task in tasks)
+    separate = [cell for task in tasks for cell in task.run()]
+    packed = [cell for group in sweep.cells for cell in group]
+    assert len(packed) == len(separate) == 6
+    for reference, cell in zip(separate, packed):
+        assert_cells_bit_identical(reference, cell)
+        assert deterministic_registry_dict(reference.meter) == (
+            deterministic_registry_dict(cell.meter)
+        )
+
+
+def test_pack_cell_blocks_balances_contiguous_runs():
+    tasks = fleet_batch_tasks("cellular", [2, 4], cells=2, jobs=2, duration=1.0)
+    assert [task.ues for task in tasks] == [2, 2, 4, 4]
+    # 12 sessions over 2 runs: the first run crosses into the 4-call point.
+    runs = pack_cell_blocks(tasks, 2)
+    assert [run.blocks for run in runs] == [tuple(tasks[:3]), tuple(tasks[3:])]
+    assert [run.blocks for run in pack_cell_blocks(tasks, 1)] == [tuple(tasks)]
+    assert [len(run.blocks) for run in pack_cell_blocks(tasks, 9)] == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("bad", [{"cells": 0}, {"cells": -1}, {"calls": []}])
+def test_sweep_rejects_empty_plans(bad):
+    kwargs = {"calls": [2], "cells": 1, **bad}
+    field = next(iter(bad))
+    for build in (fleet_batch_tasks, fleet_tasks):
+        with pytest.raises(ValueError, match=field):
+            build("cellular", **kwargs)
+    for batch in (False, True):
+        with pytest.raises(ValueError, match=field):
+            fleet_sweep("cellular", batch=batch, **kwargs)

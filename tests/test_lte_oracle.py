@@ -186,7 +186,7 @@ def test_background_crowd_equals_shared_cell_array_crowd():
         else None
         for fleet in fleets
     ]
-    batched = SharedCellArray(fleets, 1, _Fallback())
+    batched = SharedCellArray(fleets, [1] * len(fleets), _Fallback())
     for k in range(1, 20001):
         now = k * MS
         loads = batched.member_loads(k, now)

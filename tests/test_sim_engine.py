@@ -42,6 +42,20 @@ def test_run_with_duration_advances_clock_exactly():
     assert sim.now == pytest.approx(2.5)
 
 
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"), -1.0])
+def test_run_rejects_bad_duration(duration):
+    """A NaN deadline is never reached and a negative one would move the
+    clock backwards; neither may start the event loop."""
+    sim = Simulation()
+    ticks = []
+    sim.every(0.1, lambda: ticks.append(sim.now))
+    with pytest.raises(ValueError, match="duration"):
+        sim.run(duration)
+    assert sim.now == 0.0 and not ticks
+    sim.run(0.25)
+    assert sim.now == 0.25 and len(ticks) == 2
+
+
 def test_events_beyond_deadline_stay_queued():
     sim = Simulation()
     fired = []

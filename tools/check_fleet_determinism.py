@@ -11,13 +11,16 @@ writes counters + histograms only; see
 :func:`repro.experiments.fleet.deterministic_registry_dict`), and fails
 unless the two files are byte-for-byte identical::
 
-    python tools/check_fleet_determinism.py            # event engine
-    python tools/check_fleet_determinism.py --batch    # batched cells
+    python tools/check_fleet_determinism.py                        # event engine
+    python tools/check_fleet_determinism.py --batch --calls 2,4    # batched cells
 
 ``--batch`` checks the batched cell engine's sharding unit instead
-(whole cell blocks, :class:`repro.experiments.parallel.CellBlockTask`)
-— same contract, different partition: a point's cells are split into
-contiguous blocks per worker, so the gate proves block boundaries never
+(packed cell blocks,
+:class:`repro.experiments.parallel.PackedCellBlocksTask`) — same
+contract, different partition: the sweep's blocks are packed into one
+engine run per worker.  With ``--calls 2,4`` both sweeps (one packed
+run at ``--jobs 1``, two at ``--jobs 2``) tick cells of both points in
+one engine run, so the gate proves neither block nor point boundaries
 leak into results.
 
 Exits 0 when the registries match, 1 on divergence or a failed sweep.
