@@ -8,10 +8,12 @@ conventions in :mod:`repro.units` (seconds / bits-per-second / bytes).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.units import kbytes, mbps, ms
+from repro.units import LTE_SUBFRAME, kbytes, mbps, ms
 
 # ---------------------------------------------------------------------------
 # LTE substrate
@@ -511,6 +513,27 @@ class FleetConfig:
     #: Seed of the cell-level random streams (background traffic only;
     #: each caller keeps its own :class:`SessionConfig.seed`).
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        """Reject a cell the models cannot run; the error names the field."""
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        budget = self.prb_budget
+        integral = isinstance(budget, numbers.Integral) and not isinstance(budget, bool)
+        if not integral or budget < 1:
+            raise ValueError(f"prb_budget must be an int >= 1, got {budget!r}")
+        bounds = (
+            ("ues", self.ues >= 1, ">= 1"),
+            ("share_time_constant", self.share_time_constant >= LTE_SUBFRAME, ">= 1 ms"),
+            ("pf_weight_exponent", self.pf_weight_exponent >= 0.0, ">= 0"),
+            ("pf_weight_max", self.pf_weight_max >= 1.0, ">= 1"),
+            ("background_ues", self.background_ues >= 0, ">= 0"),
+            ("background_load", 0.0 <= self.background_load <= 1.0, "in [0, 1]"),
+        )
+        for name, ok, bound in bounds:
+            if not ok:
+                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)!r}")
 
 
 #: Compression scheme names accepted by :class:`SessionConfig`.

@@ -33,14 +33,14 @@ cell reproduces the single-UE session **bit-exactly** (asserted in
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.config import CellConfig, FleetConfig
 from repro.lte.competitors import UPDATE_INTERVAL as CROWD_INTERVAL
 from repro.lte.competitors import CompetitorCell
-from repro.sim.engine import Simulation
+from repro.sim.rng import RngRegistry
 from repro.units import LTE_SUBFRAME
 
 #: Loads are clamped into this range, matching the single-UE cell
@@ -61,6 +61,18 @@ def _crowd(config: FleetConfig, rng: np.random.Generator):
         ),
         rng,
     )
+
+
+def background_rng(config: FleetConfig) -> Optional[np.random.Generator]:
+    """The ``fleet.background`` stream of ``config.seed``, or ``None``
+    when the cell schedules no background UEs.
+
+    Every engine draws its crowd from this stream, so the event, scalar
+    lockstep and batched cells see bit-identical background loads.
+    """
+    if config.background_ues <= 0:
+        return None
+    return RngRegistry(config.seed).stream("fleet.background")
 
 
 class _Member:
@@ -88,44 +100,51 @@ class CellMemberView:
     :class:`~repro.lte.scheduler.EnbScheduler` consumes it unchanged;
     additionally exposes :meth:`claim_prbs`, which the scheduler uses
     (when present) to draw PRBs from the cell's per-subframe budget.
+    ``clock`` returns the member's current simulated time.
     """
 
-    __slots__ = ("_cell", "index")
+    __slots__ = ("_cell", "index", "_clock")
 
-    def __init__(self, cell: "SharedCell", index: int):
+    def __init__(self, cell: "SharedCell", index: int, clock: Callable[[], float]):
         self._cell = cell
         self.index = index
+        self._clock = clock
 
     @property
     def load(self) -> float:
         """Effective cell load this member's scheduler should see."""
-        return self._cell.load_for(self.index, self._cell._sim._now)
+        return self._cell.load_for(self.index, self._clock())
 
     def claim_prbs(self, prbs: int) -> int:
         """Claim up to ``prbs`` from this subframe's remaining budget."""
-        return self._cell.claim(self.index, prbs, self._cell._sim._now)
+        return self._cell.claim(self.index, prbs, self._clock())
 
 
 class SharedCell:
-    """PF grant splitting across the POI360 callers camped on one cell."""
+    """PF grant splitting across the POI360 callers camped on one cell.
+
+    Holds no clock: every query takes the caller's ``now``.  The event
+    cell (:class:`repro.telephony.fleet.CellSession`) lets shares decay
+    lazily; the lockstep cell (:class:`repro.telephony.uplink.
+    UplinkCellSession`) calls :meth:`begin_subframe` every 1 ms tick, as
+    :class:`SharedCellArray` does for C cells at once.  The owner
+    updates :attr:`background` every ``competitors.UPDATE_INTERVAL``.
+    """
 
     def __init__(
         self,
-        sim: Simulation,
         config: Optional[FleetConfig] = None,
         rng: Optional[np.random.Generator] = None,
     ):
         config = config if config is not None else FleetConfig()
-        self._sim = sim
         self.config = config
         self._members: List[_Member] = []
-        self._prb_budget = max(1, int(config.prb_budget))
-        tau = max(LTE_SUBFRAME, config.share_time_constant)
+        self._prb_budget = config.prb_budget
         #: Per-subframe EWMA step of the realized-share tracker.
-        self._alpha = 1.0 - math.exp(-LTE_SUBFRAME / tau)
+        self._alpha = 1.0 - math.exp(-LTE_SUBFRAME / config.share_time_constant)
         self._decay = 1.0 - self._alpha
-        self._kappa = max(0.0, config.pf_weight_exponent)
-        self._weight_max = max(1.0, config.pf_weight_max)
+        self._kappa = config.pf_weight_exponent
+        self._weight_max = config.pf_weight_max
         #: Subframe the current budget belongs to, and PRBs left in it.
         self._budget_time = -1.0
         self._budget_left = self._prb_budget
@@ -140,27 +159,33 @@ class SharedCell:
             # population produces a load fraction, and the cell converts
             # that fraction into PRBs claimed from the shared budget
             # ahead of the members each subframe.
-            self.background = crowd = _crowd(config, rng)
-            sim.every(CROWD_INTERVAL, lambda: crowd.update(sim._now))
+            self.background = _crowd(config, rng)
 
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
 
-    def add_member(self, ue) -> CellMemberView:
-        """Register a caller's UE; returns its view onto the cell.
+    def add_member(self, fallback, clock: Callable[[], float]) -> CellMemberView:
+        """Register a caller; returns its view onto the cell.
 
-        Normally called through :meth:`repro.lte.ue.UeUplink.join_cell`,
-        which also rewires the UE's scheduler onto the view.
+        ``fallback`` is the caller's own cell-load model and ``clock``
+        its simulated time.  Normally called through
+        :meth:`repro.lte.ue.UeUplink.join_cell`, which also rewires the
+        UE's scheduler onto the view.
         """
         index = len(self._members)
-        self._members.append(_Member(fallback=ue.cell))
-        return CellMemberView(self, index)
+        self._members.append(_Member(fallback))
+        return CellMemberView(self, index, clock)
 
     @property
     def members(self) -> int:
         """Number of callers camped on this cell."""
         return len(self._members)
+
+    @property
+    def budget_left(self) -> int:
+        """PRBs still grantable in the current subframe (introspection)."""
+        return self._budget_left
 
     # ------------------------------------------------------------------
     # Share bookkeeping
@@ -191,27 +216,40 @@ class SharedCell:
             self._agg_time = now
         return self._agg_total
 
-    def share_of(self, index: int, now: Optional[float] = None) -> float:
+    def begin_subframe(self, now: float) -> None:
+        """Start the subframe at ``now`` eagerly: decay every share,
+        snapshot the aggregate and reset the PRB budget.
+
+        Called once per 1 ms tick, the lazy catch-up is always the
+        one-subframe ``decay ** 1 == decay`` step, so shares follow
+        :class:`SharedCellArray`'s per-tick multiply bit for bit even
+        on ticks where no member reads its load.
+        """
+        self._aggregate(now)
+        self._start_subframe(now)
+
+    def share_of(self, index: int, now: float) -> float:
         """A member's current realized resource share (introspection)."""
-        now = self._sim._now if now is None else now
         return self._decay_to(self._members[index], now)
 
-    def pf_weight(self, index: int, now: Optional[float] = None) -> float:
+    def pf_weight(self, index: int, now: float) -> float:
         """The PF catch-up weight a member currently enjoys.
 
         ``(mean_share / own_share) ** pf_weight_exponent``, clamped into
         ``[1/pf_weight_max, pf_weight_max]``; exactly ``1.0`` for a
         lone member (shares cancel), for perfectly equal shares, or
-        when the exponent is zero.
+        when the exponent is zero.  The power goes through the numpy
+        ufunc, so the value equals :class:`SharedCellArray`'s elementwise
+        ``np.power`` bit for bit; Python's ``**`` calls libm ``pow``,
+        which numpy's vectorised loop need not match in the last bit.
         """
-        now = self._sim._now if now is None else now
         total = self._aggregate(now)
         count = len(self._members)
         if count <= 1:
             return 1.0
         mine = self._members[index].share
         ratio = (total / count + _SHARE_EPS) / (mine + _SHARE_EPS)
-        weight = ratio**self._kappa
+        weight = float(np.power(ratio, self._kappa))
         if weight > self._weight_max:
             return self._weight_max
         floor = 1.0 / self._weight_max
@@ -276,10 +314,11 @@ class SharedCell:
         """Grant up to ``prbs`` PRBs from this subframe's budget.
 
         The first claim of a subframe resets the budget (minus the
-        scheduled background's take); later claims within the same
-        subframe see only what is left.  Within a subframe, members are
-        served in event order (attach order) — long-run fairness is the
-        PF coupling's job, not the intra-subframe order's.
+        scheduled background's take) unless :meth:`begin_subframe`
+        already did; later claims within the same subframe see only
+        what is left.  Within a subframe, members are served in attach
+        order — long-run fairness is the PF coupling's job, not the
+        intra-subframe order's.
         """
         if now != self._budget_time:
             self._start_subframe(now)
@@ -293,179 +332,15 @@ class SharedCell:
 
 
 # ----------------------------------------------------------------------
-# Lockstep cell (scalar reference and batched twin, repro.sim.batch_cell)
+# Batched twin (repro.sim.batch_cell)
 # ----------------------------------------------------------------------
 
 #: Background-crowd update cadence on the 1 ms grid (subframes).
-_BG_TICKS = int(round(CROWD_INTERVAL / LTE_SUBFRAME))
-
-
-def _background_crowd(config: FleetConfig):
-    """The lockstep cell's scheduled background population, or ``None``.
-
-    Both lockstep engines build the crowd identically — same
-    :class:`~repro.lte.competitors.CompetitorCell`, same
-    ``fleet.background`` rng stream derived from ``config.seed`` — so
-    the scalar and batched engines consume bit-identical background
-    loads by construction.
-    """
-    if config.background_ues <= 0:
-        return None
-    from repro.sim.rng import RngRegistry
-
-    return _crowd(config, RngRegistry(config.seed).stream("fleet.background"))
-
-
-class GridCellMemberView:
-    """Grid twin of :class:`CellMemberView` (duck-typed ``load`` +
-    ``claim_prbs``, clocked by the cell's ``begin_tick`` instead of the
-    event engine's ``sim._now``)."""
-
-    __slots__ = ("_cell", "index")
-
-    def __init__(self, cell: "GridSharedCell", index: int):
-        self._cell = cell
-        self.index = index
-
-    @property
-    def load(self) -> float:
-        return self._cell.load_for(self.index)
-
-    def claim_prbs(self, prbs: int) -> int:
-        return self._cell.claim(self.index, prbs)
-
-
-class GridSharedCell:
-    """Grid-scalar twin of :class:`SharedCell`: the bit-exactness
-    reference for the batched :class:`SharedCellArray`.
-
-    The event-driven :class:`SharedCell` decays shares lazily and resets
-    its budget on the first claim of a subframe; on the lockstep grid a
-    driver (:class:`repro.telephony.uplink.UplinkCellSession`) calls
-    :meth:`begin_tick` once per 1 ms tick, which updates the background
-    crowd at its cadence, decays every share eagerly by one subframe,
-    snapshots the aggregate left-to-right, and resets the PRB budget
-    (minus the background's pre-claim).  Because every member queries
-    its load every tick, the eager per-tick decay performs exactly the
-    ``ticks == 1`` case of the lazy ``decay ** ticks`` catch-up.
-    """
-
-    __slots__ = (
-        "config", "background", "_prb_budget", "_alpha", "_decay",
-        "_kappa", "_weight_max", "_fallbacks", "_shares", "_total",
-        "_budget_left", "_now",
-    )
-
-    def __init__(self, config: Optional[FleetConfig] = None):
-        config = config if config is not None else FleetConfig()
-        self.config = config
-        self._prb_budget = max(1, int(config.prb_budget))
-        tau = max(LTE_SUBFRAME, config.share_time_constant)
-        self._alpha = 1.0 - math.exp(-LTE_SUBFRAME / tau)
-        self._decay = 1.0 - self._alpha
-        self._kappa = max(0.0, config.pf_weight_exponent)
-        self._weight_max = max(1.0, config.pf_weight_max)
-        #: Per-member fallback load models (``CellLoadProcess``) + shares.
-        self._fallbacks: list = []
-        self._shares: List[float] = []
-        self._total = 0.0
-        self._budget_left = self._prb_budget
-        self._now = 0.0
-        self.background = _background_crowd(config)
-
-    def add_member(self, fallback) -> GridCellMemberView:
-        """Register a member; ``fallback`` is its own cell-load model."""
-        index = len(self._shares)
-        self._fallbacks.append(fallback)
-        self._shares.append(0.0)
-        return GridCellMemberView(self, index)
-
-    @property
-    def members(self) -> int:
-        return len(self._shares)
-
-    @property
-    def budget_left(self) -> int:
-        """PRBs still grantable this subframe (introspection)."""
-        return self._budget_left
-
-    def begin_tick(self, k: int, now: float) -> None:
-        """Advance the cell to tick ``k``: background, decay, budget."""
-        self._now = now
-        background = self.background
-        if background is not None and k % _BG_TICKS == 0:
-            background.update(now)
-        decay = self._decay
-        shares = self._shares
-        total = 0.0
-        for index in range(len(shares)):
-            share = shares[index] * decay
-            shares[index] = share
-            total += share
-        self._total = total
-        budget = self._prb_budget
-        if background is not None:
-            budget -= int(round(self._prb_budget * background.load))
-            if budget < 0:
-                budget = 0
-        self._budget_left = budget
-
-    def pf_weight(self, index: int) -> float:
-        """PF catch-up weight — :meth:`SharedCell.pf_weight` arithmetic,
-        with the power routed through the numpy float64 ufunc so the
-        scalar value equals :class:`SharedCellArray`'s elementwise
-        ``np.power`` bit-for-bit (the repo's numpy-ufunc-routed-scalars
-        idiom, see ``ReceiverState.finalise``)."""
-        count = len(self._shares)
-        if count <= 1:
-            return 1.0
-        mine = self._shares[index]
-        ratio = (self._total / count + _SHARE_EPS) / (mine + _SHARE_EPS)
-        weight = float(np.power(np.float64(ratio), self._kappa))
-        if weight > self._weight_max:
-            return self._weight_max
-        floor = 1.0 / self._weight_max
-        if weight < floor:
-            return floor
-        return weight
-
-    def load_for(self, index: int) -> float:
-        """Effective load for member ``index`` this tick — the same
-        composition as :meth:`SharedCell.load_for`, reading the
-        per-tick aggregate snapshot."""
-        share = self._shares[index]
-        peers = self._total - share
-        if peers < 0.0:
-            peers = 0.0
-        background = self.background
-        if background is not None:
-            base = background.load
-        else:
-            base = self._fallbacks[index].load
-        raw = base + peers
-        if raw > LOAD_MAX:
-            raw = LOAD_MAX
-        weight = self.pf_weight(index)
-        if weight != 1.0:
-            boosted = 1.0 - weight * (1.0 - raw)
-            if boosted < 0.0:
-                return 0.0
-            if boosted > LOAD_MAX:
-                return LOAD_MAX
-            return boosted
-        return raw
-
-    def claim(self, index: int, prbs: int) -> int:
-        """Grant up to ``prbs`` from this tick's remaining budget."""
-        granted = prbs if prbs <= self._budget_left else self._budget_left
-        if granted > 0:
-            self._budget_left -= granted
-            self._shares[index] += self._alpha * (granted / self._prb_budget)
-        return granted
+BG_TICKS = int(round(CROWD_INTERVAL / LTE_SUBFRAME))
 
 
 class SharedCellArray:
-    """Vectorised twin of :class:`GridSharedCell` over C cells at once.
+    """Vectorised twin of :class:`SharedCell` over C cells at once.
 
     Cells may hold different member counts.  Realized shares live in a
     zero-padded ``(C, N_max)`` array (row ``c`` holds cell ``c``'s
@@ -512,11 +387,11 @@ class SharedCellArray:
             [np.arange(n) for n in counts]
         )
         self._shares = np.zeros((c, self._n_max))
-        prb = np.array([max(1, int(f.prb_budget)) for f in fleets], dtype=np.float64)
+        prb = np.array([f.prb_budget for f in fleets], dtype=np.float64)
         self._prb_budget = prb
         alpha = np.array(
             [
-                1.0 - math.exp(-LTE_SUBFRAME / max(LTE_SUBFRAME, f.share_time_constant))
+                1.0 - math.exp(-LTE_SUBFRAME / f.share_time_constant)
                 for f in fleets
             ]
         )
@@ -524,13 +399,14 @@ class SharedCellArray:
         self._decay_col = (1.0 - alpha)[:, None]
         # PF-weight parameters, one entry per flat session.
         self._count = np.array(counts, dtype=np.float64)[cell_of]
-        self._kappa = np.array([max(0.0, f.pf_weight_exponent) for f in fleets])[
-            cell_of
-        ]
-        wmax = np.array([max(1.0, f.pf_weight_max) for f in fleets])[cell_of]
+        self._kappa = np.array([f.pf_weight_exponent for f in fleets])[cell_of]
+        wmax = np.array([f.pf_weight_max for f in fleets])[cell_of]
         self._wmax = wmax
         self._wfloor = 1.0 / wmax
-        self._backgrounds = [_background_crowd(f) for f in fleets]
+        self._backgrounds = [
+            None if f.background_ues <= 0 else _crowd(f, background_rng(f))
+            for f in fleets
+        ]
         self._has_bg = any(bg is not None for bg in self._backgrounds)
         self._bg_rows = np.array([bg is not None for bg in self._backgrounds])[
             cell_of
@@ -553,15 +429,16 @@ class SharedCellArray:
     def member_loads(self, k: int, now: float) -> np.ndarray:
         """Advance every cell to tick ``k``; flat per-session loads.
 
-        Performs, for all cells at once, exactly what
-        :meth:`GridSharedCell.begin_tick` + one ``load_for`` per member
-        do — the scalar reference computes every member's load from the
-        same per-tick share snapshot (claims bump only the claimer's
+        Performs, for all cells at once, what the scalar lockstep cell
+        does per tick — a background update every :data:`BG_TICKS`
+        ticks, :meth:`SharedCell.begin_subframe`, then one ``load_for``
+        per member.  The scalar reference computes every member's load
+        from the same per-tick share snapshot (claims bump only the claimer's
         *own* share, which no later member's load reads), so the
         phase-major evaluation here is order-equivalent to the scalar
         member-major one.
         """
-        if self._has_bg and k % _BG_TICKS == 0:
+        if self._has_bg and k % BG_TICKS == 0:
             bg_load = self._bg_load
             for index, bg in enumerate(self._backgrounds):
                 if bg is not None:

@@ -92,7 +92,8 @@ class UeUplink:
         the member view so peer contention, PF catch-up weighting and
         the per-subframe PRB budget all apply.  Returns the view.
         """
-        self.cell_view = cell.add_member(self)
+        sim = self._sim
+        self.cell_view = cell.add_member(self.cell, lambda: sim._now)
         self.scheduler.set_cell(self.cell_view)
         return self.cell_view
 

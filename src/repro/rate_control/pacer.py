@@ -12,6 +12,11 @@ Retransmissions (NACKed packets, which already carry their original
 sequence number) jump the queue.  The pacer is the boundary between the
 two buffers of the paper's Fig. 9 model: what it does not send waits in
 the application layer, what it sends waits in the firmware buffer.
+
+:class:`PacedSender` holds no clock: the event sender and the lockstep
+:class:`repro.telephony.uplink.UplinkSession` call :meth:`PacedSender.tick`
+with the time and the pacing rate every :data:`PACING_TICK`.
+:class:`PacedSenderArray` is its batched twin.
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ import math
 from collections import deque
 from typing import Callable, Deque, Optional
 
+import numpy as np
+
 from repro.net.packet import Packet
-from repro.sim.engine import Simulation
 from repro.units import BITS_PER_BYTE, ms
 from repro.video.frame import EncodedFrame
 
@@ -52,19 +58,23 @@ class _QueuedFrame:
 
 
 class PacedSender:
-    """Token-bucket pacer that packetises frames as they leave."""
+    """Token-bucket pacer that packetises frames as they leave.
+
+    ``enqueue_frame`` reads only a frame's ``size_bytes`` and
+    ``capture_time``.  A frame leaves as exactly ``frame_packets``
+    packets: with an integer payload size, ``remaining -= size`` is exact
+    for frames under 2**53 bytes and ``ceil(size / payload)`` rounds to
+    the true count, so the packet that empties the frame is the one with
+    ``frame_seq == frame_packets - 1``.
+    """
 
     def __init__(
         self,
-        sim: Simulation,
         sink: PacketSink,
-        rate_fn: Callable[[], float],
         payload_size: int = 1200,
         on_sent: Optional[PacketSink] = None,
     ):
-        self._sim = sim
         self._sink = sink
-        self._rate_fn = rate_fn
         self._payload_size = payload_size
         self._on_sent = on_sent
         self._frames: Deque[_QueuedFrame] = deque()
@@ -74,7 +84,6 @@ class PacedSender:
         self._seq = 0
         self.bytes_paced = 0.0
         self.dropped_frames = 0
-        sim.every(PACING_TICK, self._tick)
 
     def enqueue_frame(self, frame: EncodedFrame) -> None:
         """Queue a freshly encoded frame for packetisation."""
@@ -99,8 +108,8 @@ class PacedSender:
     def next_seq(self) -> int:
         return self._seq
 
-    def _send(self, packet: Packet) -> None:
-        packet.payload["sent"] = self._sim.now
+    def _send(self, packet: Packet, now: float) -> None:
+        packet.payload["sent"] = now
         self.bytes_paced += packet.size_bytes
         if self._on_sent is not None:
             self._on_sent(packet)
@@ -128,8 +137,11 @@ class PacedSender:
             self._frames.popleft()
         return packet
 
-    def _tick(self) -> None:
-        rate = max(0.0, self._rate_fn())
+    def tick(self, now: float, rate: float) -> None:
+        """One pacing tick at ``now`` with pacing rate ``rate`` (bps):
+        expire stale frames, refill the token bucket, then send
+        retransmissions and media packets while the budget lasts."""
+        rate = max(0.0, rate)
         self._expire_stale(rate)
         tick_budget = rate * PACING_TICK / BITS_PER_BYTE
         burst_cap = max(MIN_BURST_BYTES, BURST_TICKS * tick_budget)
@@ -137,14 +149,14 @@ class PacedSender:
         while self._retransmits and self._retransmits[0].size_bytes <= self._budget_bytes:
             packet = self._retransmits.popleft()
             self._budget_bytes -= packet.size_bytes
-            self._send(packet)
+            self._send(packet, now)
         while self._frames and self._budget_bytes > 0:
             head = self._frames[0]
             size = min(self._payload_size, head.remaining)
             if size > self._budget_bytes:
                 break
             self._budget_bytes -= size
-            self._send(self._emit_next_media_packet())
+            self._send(self._emit_next_media_packet(), now)
 
     def _expire_stale(self, rate: float) -> None:
         """Drop the oldest not-yet-started frames beyond the queue cap.
@@ -164,10 +176,8 @@ class PacedSender:
 
 
 # ----------------------------------------------------------------------
-# Lockstep twin (batched engine, repro.sim.batch)
+# Batched twin (repro.sim.batch)
 # ----------------------------------------------------------------------
-
-import numpy as np
 
 #: Frame slots per session in the batched pacer ring.  The 1 s queue
 #: cap bounds the backlog to ~25 frames at the lockstep profile's frame
@@ -176,8 +186,8 @@ _FRAME_SLOTS = 128
 
 
 class PacedSenderArray:
-    """``(n_sessions,)`` vectorised twin of the lockstep pacer
-    (:class:`repro.telephony.uplink._GridPacer`).
+    """``(n_sessions,)`` vectorised twin of :class:`PacedSender`
+    (media frames only: the lockstep profile sends no retransmissions).
 
     Frames wait in per-session circular rings; :meth:`tick` replays the
     scalar token-bucket loop in *rounds*, each round emitting at most

@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import threading
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from repro.config import SCHEMES, TRANSPORTS
+from repro.config import SCHEMES, TRANSPORTS, FleetConfig
 from repro.experiments import cache
 from repro.experiments.parallel import RunCancelled, resolve_jobs
 from repro.obs.ledger import (
@@ -97,8 +98,9 @@ SPEC_DEFAULTS: Dict[str, dict] = {
     },
 }
 
-#: Spec fields coerced to these types during normalisation (everything
-#: else keeps the default's type).
+#: Spec fields checked and coerced to these types during normalisation:
+#: floats must be finite and >= 0, ints integral, bools real JSON
+#: booleans (everything else keeps the default's type).
 _FLOAT_FIELDS = ("duration", "warmup", "background_load")
 _INT_FIELDS = ("seed", "sessions", "cells", "prb_budget", "background_ues")
 _BOOL_FIELDS = ("batch", "rotate_profiles", "fleet_batch")
@@ -127,6 +129,13 @@ class JobOutcome:
         self.meter = meter
 
 
+def _number(field: str, value):
+    """``value`` if it is a JSON number (not a bool); else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    return value
+
+
 def normalise_spec(spec: dict) -> dict:
     """Validate a job spec and merge the CLI defaults; raises ValueError.
 
@@ -150,13 +159,19 @@ def normalise_spec(spec: dict) -> dict:
     merged.update({key: value for key, value in spec.items() if key != "kind"})
     for field in _FLOAT_FIELDS:
         if field in merged:
-            merged[field] = float(merged[field])
+            value = float(_number(field, merged[field]))
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{field} must be finite and >= 0, got {value!r}")
+            merged[field] = value
     for field in _INT_FIELDS:
         if field in merged:
-            merged[field] = int(merged[field])
+            value = _number(field, merged[field])
+            if isinstance(value, float) and not value.is_integer():
+                raise ValueError(f"{field} must be an integer, got {value!r}")
+            merged[field] = int(value)
     for field in _BOOL_FIELDS:
-        if field in merged:
-            merged[field] = bool(merged[field])
+        if field in merged and not isinstance(merged[field], bool):
+            raise ValueError(f"{field} must be true or false, got {merged[field]!r}")
 
     if "scenario" in merged and merged["scenario"] not in SCENARIOS:
         raise ValueError(f"unknown scenario {merged['scenario']!r}")
@@ -191,6 +206,14 @@ def normalise_spec(spec: dict) -> dict:
             ) from None
         if not merged["calls"] or any(v < 1 for v in merged["calls"]):
             raise ValueError("calls values must be >= 1")
+        if merged["cells"] < 1:
+            raise ValueError("cells must be >= 1")
+        # The cell bounds live on FleetConfig; its error names the field.
+        FleetConfig(
+            prb_budget=merged["prb_budget"],
+            background_ues=merged["background_ues"],
+            background_load=merged["background_load"],
+        )
         if merged["batch"] and merged["rotate_profiles"]:
             raise ValueError(
                 "rotate_profiles requires the event engine (drop it or "

@@ -15,8 +15,9 @@ Bit-exactness contract (``tests/test_batch_cell.py``):
 - a cell run inside any block equals the same cell run alone (cells
   never couple, whatever their member counts);
 - a **C=1** batched cell reproduces the scalar reference
-  :class:`repro.telephony.uplink.UplinkCellSession` to the bit — logs,
-  summaries, member bytes, Jain index;
+  :class:`repro.telephony.uplink.UplinkCellSession` (the production
+  :class:`~repro.lte.shared_cell.SharedCell` on the tick clock) to the
+  bit — logs, summaries, member bytes, Jain index;
 - an **N=1** batched cell degenerates to the independent-cohort path —
   the shared-cell arithmetic is an exact no-op (peer share 0.0 adds
   bitwise-neutrally, the PF weight branch is skipped, the default

@@ -33,6 +33,18 @@ from repro.obs.meter import NULL_METER
 _COMPACT_MIN_DEAD = 64
 
 
+def check_run_window(duration: float, warmup: float) -> None:
+    """Reject a run window that is not finite and non-negative.
+
+    Every engine calls this before it simulates anything; the
+    ``ValueError`` names ``duration`` or ``warmup``, whichever is bad
+    first.
+    """
+    for name, value in (("duration", duration), ("warmup", warmup)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+
+
 class CancelledError(RuntimeError):
     """Raised when interacting with a cancelled event handle."""
 

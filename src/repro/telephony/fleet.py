@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.config import FleetConfig, SessionConfig
-from repro.lte.shared_cell import SharedCell
+from repro.lte.competitors import UPDATE_INTERVAL as CROWD_INTERVAL
+from repro.lte.shared_cell import SharedCell, background_rng
 from repro.metrics.stats import jain_index
 from repro.obs.bus import NULL_BUS, TraceBus
 from repro.obs.meter import SessionMeter, coerce_meter
-from repro.sim.engine import Simulation
-from repro.sim.rng import RngRegistry
+from repro.sim.engine import Simulation, check_run_window
 from repro.telephony.session import SessionResult, TelephonySession
 from repro.video.quality import mos_score
 
@@ -119,10 +119,11 @@ class CellSession:
         meter = coerce_meter(meter)
         self.meter = meter
         self.sim.meter = meter
-        background_rng = None
-        if fleet.background_ues > 0:
-            background_rng = RngRegistry(fleet.seed).stream("fleet.background")
-        self.cell = SharedCell(self.sim, fleet, background_rng)
+        self.cell = SharedCell(fleet, background_rng(fleet))
+        crowd = self.cell.background
+        if crowd is not None:
+            sim = self.sim
+            sim.every(CROWD_INTERVAL, lambda: crowd.update(sim._now))
         self.sessions: List[TelephonySession] = []
         for index, config in enumerate(configs):
             self.sessions.append(
@@ -147,6 +148,7 @@ class CellSession:
         duration = (
             duration if duration is not None else self.sessions[0].config.duration
         )
+        check_run_window(duration, warmup)
         meter = self.meter
         t0 = meter.span_start() if meter else 0.0
         starts = []

@@ -21,7 +21,7 @@ from repro.net.path import ForwardPath
 from repro.obs.bus import NULL_BUS
 from repro.obs.meter import NULL_METER
 from repro.rate_control.base import TransportController
-from repro.rate_control.pacer import PacedSender
+from repro.rate_control.pacer import PACING_TICK, PacedSender
 from repro.sim.engine import Simulation
 from repro.telephony.timestamping import encode_timestamp
 from repro.video.capture import VideoSource
@@ -61,13 +61,12 @@ class PanoramicSender:
         self._encoder = encoder
         self._grid = grid
         self._log = log
-        self.pacer = PacedSender(
-            sim,
+        self.pacer = pacer = PacedSender(
             forward.send,
-            lambda: transport.pacing_rate,
             payload_size=config.video.rtp_payload,
             on_sent=self._record_sent,
         )
+        sim.every(PACING_TICK, lambda: pacer.tick(sim._now, transport.pacing_rate))
         #: Sender's (possibly stale) knowledge of the viewer ROI, r_s.
         self.roi_knowledge: Tuple[int, int] = (0, grid.tiles_y // 2)
         self._history: "OrderedDict[int, Packet]" = OrderedDict()

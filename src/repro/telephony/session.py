@@ -26,7 +26,7 @@ from repro.rate_control.gcc.controller import GccReceiver, GccTransport
 from repro.roi.head_motion import HeadMotion
 from repro.roi.users import UserProfile
 from repro.roi.viewport import Viewport
-from repro.sim.engine import Simulation
+from repro.sim.engine import Simulation, check_run_window
 from repro.sim.rng import RngRegistry
 from repro.telephony.receiver import PanoramicReceiver
 from repro.telephony.sender import PanoramicSender
@@ -229,6 +229,7 @@ class TelephonySession:
         and the paper reports steady telephony behaviour.
         """
         duration = duration if duration is not None else self.config.duration
+        check_run_window(duration, warmup)
         meter = self.meter
         t0 = meter.span_start() if meter else 0.0
         self._emit_start()

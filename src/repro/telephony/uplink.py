@@ -18,10 +18,13 @@ composing production classes — the LTE processes
 (:class:`~repro.rate_control.fbcc.detector.CongestionDetector`,
 :class:`~repro.rate_control.fbcc.bandwidth.TbsBandwidthEstimator`,
 :class:`~repro.rate_control.fbcc.encoding.EncodingRateControl`,
-:class:`~repro.rate_control.fbcc.rtp.RtpRateControl`) and the
-:class:`~repro.lte.firmware_buffer.FirmwareBuffer`.  The event-driven
-session runs the same LTE classes; here their clock is the tick counter
-and their variates come from block streams.  The batched engine must
+:class:`~repro.rate_control.fbcc.rtp.RtpRateControl`), the RTP
+:class:`~repro.rate_control.pacer.PacedSender` and the
+:class:`~repro.lte.firmware_buffer.FirmwareBuffer`; the cell reference
+:class:`UplinkCellSession` couples its members through the production
+:class:`~repro.lte.shared_cell.SharedCell`.  The event-driven session
+runs the same LTE, pacer and cell classes; here their clock is the tick
+counter and their variates come from block streams.  The batched engine must
 reproduce this reference **bit-for-bit** (same seeds → same
 :class:`~repro.telephony.session.SessionResult` numbers); the
 equivalence test in ``tests/test_batch.py`` enforces this.
@@ -52,19 +55,17 @@ from repro.lte.channel import ChannelDraws, ChannelProcess
 from repro.lte.diagnostics import DiagRecord
 from repro.lte.firmware_buffer import FirmwareBuffer
 from repro.lte.scheduler import EnbScheduler, SchedulerDraws
+from repro.lte.shared_cell import BG_TICKS, SharedCell, background_rng
 from repro.metrics.summary import SessionLog, SessionSummary
+from repro.net.packet import Packet
 from repro.rate_control.fbcc.bandwidth import TbsBandwidthEstimator
 from repro.rate_control.fbcc.batch import FallbackRamp
 from repro.rate_control.fbcc.detector import CongestionDetector
 from repro.rate_control.fbcc.encoding import EncodingRateControl
 from repro.rate_control.fbcc.rtp import RtpRateControl
-from repro.rate_control.pacer import (
-    BURST_TICKS,
-    MAX_QUEUE_SECONDS,
-    MIN_BURST_BYTES,
-    PACING_TICK,
-)
+from repro.rate_control.pacer import PACING_TICK, PacedSender
 from repro.sim.blocks import BlockStream, lognormal_transform, normal_transform
+from repro.sim.engine import check_run_window
 from repro.sim.rng import RngRegistry
 from repro.telephony.session import SessionResult
 from repro.units import BITS_PER_BYTE
@@ -93,12 +94,12 @@ def run_ticks(duration: float, warmup: float) -> Tuple[int, int]:
     """``(warm_ticks, total_ticks)`` of a lockstep run.
 
     Every lockstep engine checks its run arguments here: each must be a
-    finite, non-negative number of seconds on the 1 ms grid, and a
-    ``ValueError`` names the first one that is not.
+    finite, non-negative number of seconds (:func:`repro.sim.engine.
+    check_run_window`, shared with the event engines) on the 1 ms grid,
+    and a ``ValueError`` names the first one that is not.
     """
+    check_run_window(duration, warmup)
     for name, value in (("duration", duration), ("warmup", warmup)):
-        if not (0.0 <= value < float("inf")):
-            raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
         if not _ms_aligned(value):
             raise ValueError(f"{name}={value!r} is not on the 1 ms grid")
     warm_ticks = _ticks(warmup)
@@ -156,8 +157,6 @@ def cell_batch_unsupported_reason(
     signatures = {UplinkProfile.from_config(c).signature() for c in configs}
     if len(signatures) > 1:
         return "cell members are not structurally homogeneous"
-    if fleet.prb_budget < 1:
-        return "fleet.prb_budget must be at least 1 PRB"
     return None
 
 
@@ -367,64 +366,17 @@ class ReceiverState:
         )
 
 
-class _Pkt:
-    """Lightweight RTP packet for the scalar reference (duck-typed for
-    :class:`FirmwareBuffer`, which only reads ``size_bytes``)."""
+class _Frame:
+    """A captured lockstep frame: what :class:`PacedSender` reads
+    (``capture_time``, ``size_bytes``) plus the damage flag a
+    firmware-buffer drop of any of its packets sets."""
 
-    __slots__ = ("size_bytes", "frame_id", "last")
+    __slots__ = ("capture_time", "size_bytes", "damaged")
 
-    def __init__(self, size_bytes: float, frame_id: int, last: bool):
+    def __init__(self, capture_time: float, size_bytes: float):
+        self.capture_time = capture_time
         self.size_bytes = size_bytes
-        self.frame_id = frame_id
-        self.last = last
-
-
-class _GridPacer:
-    """Scalar mirror of :class:`~repro.rate_control.pacer.PacedSender`.
-
-    Same token-bucket arithmetic, burst cap and stale-frame expiry, but
-    clocked by the lockstep tick loop and emitting ``(frame_id, size,
-    is_last)`` instead of full packet objects.
-    """
-
-    __slots__ = ("_payload", "_frames", "_budget", "_queued", "dropped_frames")
-
-    def __init__(self, payload_size: int):
-        self._payload = payload_size
-        #: deque of ``[frame_id, remaining_bytes]``.
-        self._frames: Deque[list] = deque()
-        self._budget = 0.0
-        self._queued = 0.0
-        self.dropped_frames = 0
-
-    def enqueue(self, frame_id: int, size_bytes: float) -> None:
-        self._frames.append([frame_id, size_bytes])
-        self._queued += size_bytes
-
-    def tick(self, rate: float, emit) -> None:
-        rate = max(0.0, rate)
-        if rate > 0.0:
-            max_bytes = rate * MAX_QUEUE_SECONDS / BITS_PER_BYTE
-            while self._queued > max_bytes and len(self._frames) > 1:
-                item = self._frames[1]
-                del self._frames[1]
-                self._queued -= item[1]
-                self.dropped_frames += 1
-        tick_budget = rate * PACING_TICK / BITS_PER_BYTE
-        burst_cap = max(MIN_BURST_BYTES, BURST_TICKS * tick_budget)
-        self._budget = min(self._budget + tick_budget, burst_cap)
-        while self._frames and self._budget > 0:
-            head = self._frames[0]
-            size = min(self._payload, head[1])
-            if size > self._budget:
-                break
-            self._budget -= size
-            head[1] -= size
-            self._queued -= size
-            last = head[1] <= 0
-            if last:
-                self._frames.popleft()
-            emit(head[0], size, last)
+        self.damaged = False
 
 
 class UplinkSession:
@@ -436,7 +388,9 @@ class UplinkSession:
     are the production :class:`~repro.lte.channel.ChannelProcess`,
     :class:`~repro.lte.cell.CellLoadProcess` and
     :class:`~repro.lte.scheduler.EnbScheduler`, drawing from the block
-    streams their batched twins read.
+    streams their batched twins read; the pacer is the production
+    :class:`~repro.rate_control.pacer.PacedSender`, ticked every
+    ``pacer_ticks``.
     """
 
     def __init__(self, config: SessionConfig):
@@ -459,7 +413,7 @@ class UplinkSession:
         )
         self._fw = FirmwareBuffer(lte.firmware_buffer_cap)
         self._bsr: Deque[float] = deque([0.0] * profile.bsr_depth, maxlen=profile.bsr_depth)
-        self._pacer = _GridPacer(config.video.rtp_payload)
+        self._pacer = PacedSender(self._emit, payload_size=config.video.rtp_payload)
         self._noise = BlockStream(
             stream("frame.noise"), lognormal_transform(config.video.size_sigma_base)
         )
@@ -485,14 +439,11 @@ class UplinkSession:
             video_rate=lambda: self._encoding.rate(self._now),
         )
 
-        #: frame_id -> [capture_s, size_bytes, damaged]
-        self._frame_table: Dict[int, list] = {}
-        self._next_frame_id = 0
         self._frame_index = 0
-        #: (done_tick, frame_id, size_bytes) encoder pipeline FIFO.
-        self._encoding_pipe: Deque[Tuple[int, int, float]] = deque()
-        #: arrival_tick -> [(frame_id, size_bytes, is_last), ...]
-        self._in_flight: Dict[int, List[Tuple[int, float, bool]]] = {}
+        #: (done_tick, frame) encoder pipeline FIFO.
+        self._encoding_pipe: Deque[Tuple[int, _Frame]] = deque()
+        #: arrival_tick -> packets drained from the firmware buffer.
+        self._in_flight: Dict[int, List[Packet]] = {}
         self._diag_records: List[DiagRecord] = []
         self._ramp_seen_drops = 0
         self._sec_tbs = 0.0
@@ -509,14 +460,12 @@ class UplinkSession:
 
     # -- packet emission (pacer -> firmware buffer) --------------------
 
-    def _emit(self, frame_id: int, size: float, last: bool) -> None:
-        if not self._fw.push(_Pkt(size, frame_id, last)):
-            entry = self._frame_table[frame_id]
-            if not entry[2]:
-                entry[2] = True
+    def _emit(self, packet: Packet) -> None:
+        if not self._fw.push(packet):
+            frame = packet.payload["frame"]
+            if not frame.damaged:
+                frame.damaged = True
                 self.log.frames_lost += 1
-            if last:
-                self._frame_table.pop(frame_id, None)
 
     # -- the master tick ------------------------------------------------
 
@@ -528,13 +477,15 @@ class UplinkSession:
         # 1. packet arrivals scheduled deliver_ticks ago
         arrivals = self._in_flight.pop(k, None)
         if arrivals is not None:
-            table = self._frame_table
-            for frame_id, size, last in arrivals:
-                log.arrivals.append((now, size))
-                if last:
-                    entry = table.pop(frame_id, None)
-                    if entry is not None and not entry[2]:
-                        self._receiver.on_frame_complete(now, entry[0], entry[1])
+            for packet in arrivals:
+                log.arrivals.append((now, packet.size_bytes))
+                payload = packet.payload
+                if payload["frame_seq"] + 1 == payload["frame_packets"]:
+                    frame = payload["frame"]
+                    if not frame.damaged:
+                        self._receiver.on_frame_complete(
+                            now, frame.capture_time, frame.size_bytes
+                        )
 
         # 2. display frames whose playout deadline passed
         if self._receiver.next_display <= now:
@@ -553,12 +504,11 @@ class UplinkSession:
         # 6. frames leaving the encoder join the pacer queue
         pipe = self._encoding_pipe
         while pipe and pipe[0][0] == k:
-            _, frame_id, size_bytes = pipe.popleft()
-            self._pacer.enqueue(frame_id, size_bytes)
+            self._pacer.enqueue_frame(pipe.popleft()[1])
 
         # 7. pacing tick
         if k % profile.pacer_ticks == 0:
-            self._pacer.tick(self._rtp.rate, self._emit)
+            self._pacer.tick(now, self._rtp.rate)
 
         # 8. LTE subframe: BSR, grant, drain, diag record
         fw = self._fw
@@ -573,9 +523,9 @@ class UplinkSession:
             tbs = level - fw.level
             self.bytes_sent += tbs
             if completed:
-                slot = self._in_flight.setdefault(k + profile.deliver_ticks, [])
-                for pkt in completed:
-                    slot.append((pkt.frame_id, pkt.size_bytes, pkt.last))
+                self._in_flight.setdefault(k + profile.deliver_ticks, []).extend(
+                    completed
+                )
             level = fw.level
         self._diag_records.append(DiagRecord(now, level, tbs))
 
@@ -587,10 +537,7 @@ class UplinkSession:
                 size = size * self.config.video.keyframe_factor
             self._frame_index += 1
             size_bytes = size / BITS_PER_BYTE
-            frame_id = self._next_frame_id
-            self._next_frame_id += 1
-            self._frame_table[frame_id] = [now, size_bytes, False]
-            pipe.append((k + profile.encode_ticks, frame_id, size_bytes))
+            pipe.append((k + profile.encode_ticks, _Frame(now, size_bytes)))
             log.frames_sent += 1
             log.sent_bits += size_bytes * BITS_PER_BYTE
 
@@ -639,11 +586,11 @@ class UplinkSession:
 
     def join_cell(self, cell) -> None:
         """Attach this session to a :class:`~repro.lte.shared_cell.
-        GridSharedCell`: its load view replaces the session's own
-        cell-load model in the grant path and every PRB grant claims
-        against the shared per-subframe budget (the grid counterpart of
+        SharedCell`: its load view replaces the session's own cell-load
+        model in the grant path and every PRB grant claims against the
+        shared per-subframe budget (the lockstep counterpart of
         ``TelephonySession``'s ``cell=`` wiring)."""
-        self._sched.set_cell(cell.add_member(self._cell))
+        self._sched.set_cell(cell.add_member(self._cell, lambda: self._now))
 
     def _finalise(self, duration: float) -> SessionResult:
         """Close the logs after the last tick (shared by :meth:`run`
@@ -682,9 +629,11 @@ class UplinkCellSession:
     """Scalar reference engine for the *cell* lockstep profile.
 
     N :class:`UplinkSession` members joined onto one
-    :class:`~repro.lte.shared_cell.GridSharedCell`, all clocked by a
+    :class:`~repro.lte.shared_cell.SharedCell`, all clocked by a
     single external tick loop: each 1 ms tick the cell advances first
-    (background crowd, share decay, PRB budget reset), then every
+    (background crowd every :data:`~repro.lte.shared_cell.BG_TICKS`,
+    then :meth:`~repro.lte.shared_cell.SharedCell.begin_subframe`:
+    share decay and PRB budget reset), then every
     member runs its full subframe in attach order, claiming grants from
     the shared budget.  This is the bit-exactness reference the batched
     :class:`repro.sim.batch_cell.BatchedCellSimulation` must reproduce
@@ -708,10 +657,8 @@ class UplinkCellSession:
         reason = cell_batch_unsupported_reason(configs, fleet)
         if reason is not None:
             raise ValueError(f"cell unsupported by the lockstep profile: {reason}")
-        from repro.lte.shared_cell import GridSharedCell
-
         self.fleet = fleet
-        self.cell = GridSharedCell(fleet)
+        self.cell = SharedCell(fleet, background_rng(fleet))
         self.members = [UplinkSession(config) for config in configs]
         for member in self.members:
             member.join_cell(self.cell)
@@ -728,8 +675,12 @@ class UplinkCellSession:
         for member in members:
             member._warm_ticks = warm_ticks
         cell = self.cell
+        crowd = cell.background
         for k in range(1, total_ticks + 1):
-            cell.begin_tick(k, k * MS)
+            now = k * MS
+            if crowd is not None and k % BG_TICKS == 0:
+                crowd.update(now)
+            cell.begin_subframe(now)
             for member in members:
                 member._tick(k)
         results = [member._finalise(duration) for member in members]

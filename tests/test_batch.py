@@ -12,6 +12,8 @@ from repro.config import SessionConfig
 from repro.experiments.batch import BatchRunner, plan_cohorts, run_batched_sessions
 from repro.sim.batch import BatchedSimulation, run_batched
 from repro.sim.batch_cell import run_batched_cell
+from repro.telephony.fleet import run_cell
+from repro.telephony.session import run_session
 from repro.telephony.uplink import (
     UplinkProfile,
     batch_unsupported_reason,
@@ -137,15 +139,29 @@ LOCKSTEP_ENGINES = {
 }
 
 
-@pytest.mark.parametrize("engine", sorted(LOCKSTEP_ENGINES))
+#: The event engines run on a continuous clock, where off-grid run
+#: windows are legal.
+EVENT_ENGINES = {
+    "event": run_session,
+    "event_cell": lambda config, **run: run_cell(config, ues=2, **run),
+}
+RUN_ENGINES = {**LOCKSTEP_ENGINES, **EVENT_ENGINES}
+
+
+@pytest.mark.parametrize("engine", sorted(RUN_ENGINES))
 @pytest.mark.parametrize("field", ["duration", "warmup"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, 0.0005])
 def test_bad_run_arguments_name_the_field(engine, field, value):
-    """NaN, infinite, negative and off-grid durations and warm-ups are
-    rejected before the run with a ValueError naming the argument."""
+    """NaN, infinite and negative durations and warm-ups are rejected
+    before the run with a ValueError naming the argument; off-grid ones
+    too on the lockstep engines, while the event engines run them."""
     run = {"duration": 1.0, "warmup": 0.0, field: value}
+    config = lockstep_config(duration=1.0)
+    if engine in EVENT_ENGINES and math.isfinite(value) and value >= 0.0:
+        RUN_ENGINES[engine](config, **run)
+        return
     with pytest.raises(ValueError, match=f"^{field}"):
-        LOCKSTEP_ENGINES[engine](lockstep_config(duration=1.0), **run)
+        RUN_ENGINES[engine](config, **run)
 
 
 def test_mixed_cadence_cohort_rejected():

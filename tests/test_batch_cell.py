@@ -18,7 +18,12 @@ from repro.experiments.fleet import (
     fleet_tasks,
     pack_cell_blocks,
 )
-from repro.lte.shared_cell import GridSharedCell, SharedCellArray
+from repro.lte.shared_cell import (
+    BG_TICKS,
+    SharedCell,
+    SharedCellArray,
+    background_rng,
+)
 from repro.sim.batch import run_batched
 from repro.sim.batch_cell import (
     BatchedCellSimulation,
@@ -51,6 +56,24 @@ def test_single_batched_cell_reproduces_scalar_cell_exactly():
     reference = run_uplink_cell(config, ues=3, fleet=fleet, warmup=1.0)
     batched = run_batched_cell(config, ues=3, fleet=fleet, warmup=1.0)
     assert_cells_bit_identical(reference, batched)
+
+
+def test_scalar_cell_shares_equal_batched_shares_through_idle_ticks():
+    """The lockstep cell decays every share on every tick
+    (``SharedCell.begin_subframe``), as ``SharedCellArray`` does.  On a
+    strong channel the members' buffers drain and whole ticks pass with
+    no load read; a lazy ``decay ** k`` catch-up over those ticks rounds
+    differently, so the final shares would not match bit for bit."""
+    config = lockstep_config(seed=11, rss=-70.0, duration=4.0)
+    fleet = FleetConfig(ues=3, seed=config.seed, pf_weight_exponent=0.7)
+    members = member_configs(config, 3)
+    scalar = UplinkCellSession(members, fleet=fleet)
+    scalar.run(warmup=0.5)
+    batched = BatchedCellSimulation([members], fleets=[fleet])
+    batched.run_cells(warmup=0.5)
+    end = 4500 * 1e-3  # the last tick: (0.5 + 4.0) s of 1 ms ticks
+    shares = [scalar.cell.share_of(m, end) for m in range(3)]
+    assert shares == list(batched._cells._shares[0])
 
 
 def test_background_cell_reproduces_scalar_cell_exactly():
@@ -143,47 +166,57 @@ def test_unequal_member_counts_match_solo_cells():
 
 
 def _check_claims_against_sequential(fleets, counts, ticks=200):
-    """Drive :class:`SharedCellArray` and per-cell :class:`GridSharedCell`
-    references through the same random claims; every load, grant,
-    budget and share must agree exactly."""
+    """Drive :class:`SharedCellArray` and per-cell :class:`SharedCell`
+    references, clocked as the lockstep cell clocks them, through the
+    same random claims; every load, grant, budget and share must agree
+    exactly.  On some ticks no member reads its load or claims, so a
+    share decay caught up lazily (``decay ** 2``) instead of per tick
+    would show."""
 
     class _Flat:
         load = np.zeros(sum(counts))
 
     array = SharedCellArray(fleets, counts, _Flat())
-    scalar = [GridSharedCell(fleet) for fleet in fleets]
+    scalar = [SharedCell(fleet, background_rng(fleet)) for fleet in fleets]
 
     class _Zero:
         load = 0.0
 
     for cell, count in zip(scalar, counts):
         for _ in range(count):
-            cell.add_member(_Zero())
+            cell.add_member(_Zero(), lambda: now)
     owner = [(c, m) for c, count in enumerate(counts) for m in range(count)]
 
     rng = np.random.default_rng(42)
+    quiet_ticks = 0
     for k in range(1, ticks):
         now = k * 1e-3
         loads = array.member_loads(k, now)
         for cell in scalar:
-            cell.begin_tick(k, now)
-        for row, (c, m) in enumerate(owner):
-            assert loads[row] == scalar[c].load_for(m)
-        # Random subset of members demand random PRB counts; demands
-        # routinely exceed the cells' budgets.
-        mask = rng.random(len(owner)) < 0.8
-        rows = np.nonzero(mask)[0]
-        if not rows.size:
-            continue
-        prbs = rng.integers(2, 26, size=rows.size)
-        grants = array.claim_rows(rows, prbs.astype(np.float64))
-        for row, demand, granted in zip(rows, prbs, grants):
-            c, m = owner[row]
-            assert granted == float(scalar[c].claim(m, int(demand)))
+            if cell.background is not None and k % BG_TICKS == 0:
+                cell.background.update(now)
+            cell.begin_subframe(now)
+        if rng.random() < 0.2:
+            quiet_ticks += 1
+        else:
+            for row, (c, m) in enumerate(owner):
+                assert loads[row] == scalar[c].load_for(m, now)
+            # Random subset of members demand random PRB counts;
+            # demands routinely exceed the cells' budgets.
+            mask = rng.random(len(owner)) < 0.8
+            rows = np.nonzero(mask)[0]
+            if rows.size:
+                prbs = rng.integers(2, 26, size=rows.size)
+                grants = array.claim_rows(rows, prbs.astype(np.float64))
+                for row, demand, granted in zip(rows, prbs, grants):
+                    c, m = owner[row]
+                    assert granted == float(scalar[c].claim(m, int(demand), now))
         for index, cell in enumerate(scalar):
             assert array.budget_left[index] == cell.budget_left
+    assert quiet_ticks > 0
     for index, (cell, count) in enumerate(zip(scalar, counts)):
-        assert cell._shares == list(array._shares[index, :count])
+        shares = [cell.share_of(m, now) for m in range(count)]
+        assert shares == list(array._shares[index, :count])
         assert not array._shares[index, count:].any()
 
 

@@ -8,6 +8,7 @@ import pytest
 from repro.config import FleetConfig, SessionConfig
 from repro.experiments.fleet import deterministic_registry_dict, fleet_sweep
 from repro.experiments.parallel import CellTask, run_tasks
+from repro.lte.competitors import UPDATE_INTERVAL as CROWD_INTERVAL
 from repro.lte.shared_cell import SharedCell
 from repro.metrics.stats import jain_index
 from repro.sim.engine import Simulation
@@ -97,8 +98,8 @@ class _StubUe:
 
 def _stub_cell(members=2, **overrides):
     sim = Simulation()
-    cell = SharedCell(sim, FleetConfig(ues=members, **overrides))
-    views = [cell.add_member(_StubUe()) for _ in range(members)]
+    cell = SharedCell(FleetConfig(ues=members, **overrides))
+    views = [cell.add_member(_StubUe().cell, lambda: sim.now) for _ in range(members)]
     return sim, cell, views
 
 
@@ -177,11 +178,11 @@ def test_scheduled_background_preclaims_prbs():
 
     sim = Simulation()
     cell = SharedCell(
-        sim,
         FleetConfig(ues=1, prb_budget=20, background_ues=4, background_load=0.5),
         np.random.default_rng(1),
     )
-    cell.add_member(_StubUe())
+    sim.every(CROWD_INTERVAL, lambda: cell.background.update(sim.now))
+    cell.add_member(_StubUe().cell, lambda: sim.now)
     sim.run(1.0)  # let the background population toggle on
     took = cell.claim(0, 20, sim.now)
     expected = 20 - int(round(20 * cell.background.load))
@@ -191,7 +192,7 @@ def test_scheduled_background_preclaims_prbs():
 
 def test_background_ues_require_rng():
     with pytest.raises(ValueError):
-        SharedCell(Simulation(), FleetConfig(background_ues=2))
+        SharedCell(FleetConfig(background_ues=2))
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Component oracles: each production LTE process, fed the block
-streams its batched twin reads, equals that twin column for column.
+"""Component oracles: each production LTE process (and the RTP pacer),
+fed the block streams or inputs its batched twin reads, equals that
+twin column for column.
 
 The whole-session equivalence tests (tests/test_batch.py,
 tests/test_batch_cell.py) prove the lockstep engines agree end to end;
@@ -8,6 +9,7 @@ heterogeneous configs, so a divergence points at one class.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from repro.lte.channel import ChannelArray, ChannelDraws, ChannelProcess
 from repro.lte.competitors import CompetitorCell
 from repro.lte.scheduler import EnbScheduler, SchedulerArray, SchedulerDraws
 from repro.lte.shared_cell import LOAD_MAX, SharedCellArray
+from repro.rate_control.pacer import PacedSender, PacedSenderArray
 from repro.sim.blocks import BlockStream, normal_transform
 from repro.sim.rng import RngRegistry
 
@@ -200,3 +203,65 @@ def test_background_crowd_equals_shared_cell_array_crowd():
             budget = max(0, fleet.prb_budget - int(round(fleet.prb_budget * crowd.load)))
             assert loads[c] == crowd.load
             assert batched.budget_left[c] == budget
+
+
+def test_paced_sender_equals_paced_sender_array():
+    """Per-session :class:`PacedSender` instances, fed the frames and
+    rates the batched pacer gets, emit the same packets — frame, size
+    and last-of-frame, in order — and drop the same stale frames, with
+    equal queued bytes after every pacing tick.  Rates mix in zero,
+    some frame sizes are exact payload multiples, and the slowest
+    rates let the 1 s queue cap fire."""
+    payloads = np.array([1200, 1200, 1000, 600])
+    n = payloads.size
+    emitted = [[] for _ in range(n)]
+    scalar = [
+        PacedSender(emitted[s].append, payload_size=int(payload))
+        for s, payload in enumerate(payloads)
+    ]
+    batched = PacedSenderArray(payloads)
+    rng = np.random.default_rng(11)
+    rate_choices = np.array([0.0, 0.2e6, 0.5e6, 1.5e6, 4.0e6])
+    zero_rate_ticks = multiples = 0
+    for k in range(1, 30001):
+        now = k * MS
+        if k % 40 == 0:
+            frame_id = k // 40
+            sizes = rng.uniform(500.0, 16000.0, size=n)
+            exact = rng.random(n) < 0.25
+            sizes[exact] = payloads[exact] * rng.integers(1, 8, size=exact.sum())
+            multiples += int(exact.sum())
+            for s, pacer in enumerate(scalar):
+                pacer.enqueue_frame(
+                    SimpleNamespace(
+                        frame_id=frame_id,
+                        capture_time=now,
+                        size_bytes=float(sizes[s]),
+                    )
+                )
+            batched.enqueue_all(frame_id, sizes)
+        if k % 5:
+            continue
+        rates = rate_choices[rng.integers(0, rate_choices.size, size=n)]
+        zero_rate_ticks += int((rates == 0.0).sum())
+        for s, pacer in enumerate(scalar):
+            emitted[s].clear()
+            pacer.tick(now, float(rates[s]))
+        rounds = [[] for _ in range(n)]
+        for rows, frame_ids, sizes, last in batched.tick(rates):
+            for row, frame_id, size, is_last in zip(rows, frame_ids, sizes, last):
+                rounds[row].append((int(frame_id), float(size), bool(is_last)))
+        for s, pacer in enumerate(scalar):
+            packets = [
+                (
+                    p.payload["frame"].frame_id,
+                    p.size_bytes,
+                    p.payload["frame_seq"] + 1 == p.payload["frame_packets"],
+                )
+                for p in emitted[s]
+            ]
+            assert packets == rounds[s]
+            assert pacer.dropped_frames == batched.dropped_frames[s]
+            assert pacer.queued_bytes == batched._queued[s]
+    assert zero_rate_ticks > 0 and multiples > 0
+    assert batched.dropped_frames.min() > 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.rate_control.pacer import MAX_QUEUE_SECONDS, PacedSender
+from repro.rate_control.pacer import MAX_QUEUE_SECONDS, PACING_TICK, PacedSender
 from repro.net.packet import Packet
 from repro.sim.engine import Simulation
 from repro.units import mbps
@@ -27,7 +27,8 @@ def _frame(frame_id, size_bits=96_000.0, capture=0.0):
 def _build(rate=mbps(4.0)):
     sim = Simulation()
     sent = []
-    pacer = PacedSender(sim, sent.append, lambda: rate)
+    pacer = PacedSender(sent.append)
+    sim.every(PACING_TICK, lambda: pacer.tick(sim.now, rate))
     return sim, pacer, sent
 
 
@@ -85,7 +86,8 @@ def test_retransmissions_jump_queue():
 def test_on_sent_callback_invoked():
     sim = Simulation()
     seen = []
-    pacer = PacedSender(sim, lambda p: None, lambda: mbps(4.0), on_sent=seen.append)
+    pacer = PacedSender(lambda p: None, on_sent=seen.append)
+    sim.every(PACING_TICK, lambda: pacer.tick(sim.now, mbps(4.0)))
     pacer.enqueue_frame(_frame(0))
     sim.run(0.5)
     assert len(seen) == pacer.next_seq

@@ -8,6 +8,7 @@ deterministic.
 """
 
 import json
+import math
 import threading
 
 import pytest
@@ -82,6 +83,23 @@ def test_spec_defaults_match_cli_parser(kind, argv):
 ])
 def test_normalise_spec_rejects(bad):
     with pytest.raises(ValueError):
+        normalise_spec(bad)
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("duration", {"kind": "metrics", "duration": math.nan}),
+    ("duration", {"kind": "fleet", "duration": -1}),
+    ("warmup", {"kind": "perf", "warmup": math.inf}),
+    ("batch", {"kind": "metrics", "batch": "false"}),
+    ("seed", {"kind": "fleet", "seed": 2.7}),
+    ("cells", {"kind": "fleet", "cells": 0}),
+    ("background_load", {"kind": "fleet", "background_load": 7.5}),
+    ("prb_budget", {"kind": "fleet", "prb_budget": 0}),
+])
+def test_normalise_spec_names_the_bad_field(field, bad):
+    """Values the old coercion let through (``float``/``int``/``bool``
+    casts) are rejected, and the error names the field."""
+    with pytest.raises(ValueError, match=field):
         normalise_spec(bad)
 
 
