@@ -14,9 +14,9 @@ lockstep signature, slices each group into cohorts of at most
 ``max_cohort`` sessions, runs each cohort through
 :func:`repro.sim.batch.run_batched`, and returns results **in input
 order**.  Cohorts — not sessions — are the unit of process-pool
-fan-out, so the runner *composes with* the existing pool
-(:mod:`repro.experiments.parallel`): workers each advance a whole
-cohort in lockstep, multiplying the two speedups.
+fan-out: each cohort is a picklable :class:`CohortTask` for the shared
+pool of :func:`repro.experiments.parallel.run_tasks`, so workers each
+advance a whole cohort in lockstep, multiplying the two speedups.
 
 Configs the lockstep grid cannot express (non-LTE access, explicit
 competitor UEs, the sweet-spot learner, off-grid cadences) are reported
@@ -27,14 +27,19 @@ event engine, controlled by ``on_unsupported``.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
+import numbers
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SessionConfig
-from repro.experiments.parallel import resolve_jobs
+from repro.experiments.parallel import run_tasks
+from repro.obs.meter import SessionMeter
 from repro.telephony.session import SessionResult
-from repro.telephony.uplink import UplinkProfile, batch_unsupported_reason
+from repro.telephony.uplink import (
+    UplinkProfile,
+    batch_unsupported_reason,
+    run_uplink_session,
+)
 
 
 def plan_cohorts(
@@ -69,54 +74,6 @@ def plan_cohorts(
 DEFAULT_SCALAR_CROSSOVER = 12
 
 
-def _run_cohort(payload):
-    """Worker entry point: run one cohort (pickles across processes).
-
-    ``payload`` is ``(mode, configs, warmup, metered, heartbeat_path,
-    label)`` — ``"batched"`` advances the cohort through
-    :func:`repro.sim.batch.run_batched`, ``"scalar"`` runs each session
-    through the scalar lockstep reference (the small-cohort fast path;
-    bit-identical results either way).  Returns ``(results, meter)``;
-    ``meter`` is the cohort's engine :class:`~repro.obs.SessionMeter`
-    (or None when unmetered) and pickles back to the parent.  When
-    ``heartbeat_path`` is set the cohort streams progress records into
-    that run-ledger file from inside the tick loop
-    (:func:`repro.obs.ledger.cohort_heartbeat_callback`).
-    """
-    mode, configs, warmup, metered, heartbeat_path, label = payload
-    progress = None
-    if heartbeat_path is not None:
-        from repro.obs.ledger import cohort_heartbeat_callback
-
-        progress = cohort_heartbeat_callback(heartbeat_path, label=label)
-    if mode == "scalar":
-        from repro.telephony.uplink import run_uplink_session
-
-        meter = None
-        if metered:
-            from repro.obs.meter import SessionMeter
-
-            meter = SessionMeter()
-            meter.inc("batch.scalar_fallbacks", float(len(configs)))
-        results = []
-        for index, config in enumerate(configs):
-            results.append(run_uplink_session(config, warmup=warmup))
-            if progress is not None:
-                # Scalar cohorts have no shared tick loop; report whole
-                # sessions instead (tick stays monotone per stream).
-                progress(index + 1, len(configs), len(configs))
-        return results, meter
-    from repro.sim.batch import run_batched
-
-    meter = None
-    if metered:
-        from repro.obs.meter import SessionMeter
-
-        meter = SessionMeter()
-    results = run_batched(configs, warmup=warmup, meter=meter, progress=progress)
-    return results, meter
-
-
 class CohortOutcome:
     """One finished cohort, as handed to a ``progress`` callback.
 
@@ -132,6 +89,54 @@ class CohortOutcome:
         self.meter = meter
 
 
+@dataclass(frozen=True)
+class CohortTask:
+    """One lockstep cohort as a picklable :func:`run_tasks` task.
+
+    ``run()`` advances the cohort through
+    :class:`repro.sim.batch.BatchedSimulation`, or with ``scalar`` runs
+    each session through the scalar lockstep reference (the
+    small-cohort fast path; bit-identical results either way), and
+    returns a :class:`CohortOutcome` whose ``meter`` is the cohort's
+    engine :class:`~repro.obs.SessionMeter` (None unless ``meter``).
+    When ``heartbeat_path`` is set the cohort streams progress records
+    labelled ``label`` into that run-ledger file from inside the tick
+    loop (:func:`repro.obs.ledger.cohort_heartbeat_callback`).
+    """
+
+    configs: Tuple[SessionConfig, ...]
+    warmup: float
+    scalar: bool = False
+    meter: bool = False
+    heartbeat_path: Optional[str] = None
+    label: int = 0
+
+    def run(self) -> CohortOutcome:
+        progress = None
+        if self.heartbeat_path is not None:
+            from repro.obs.ledger import cohort_heartbeat_callback
+
+            progress = cohort_heartbeat_callback(self.heartbeat_path, label=self.label)
+        meter = SessionMeter() if self.meter else None
+        if not self.scalar:
+            from repro.sim.batch import run_batched
+
+            results = run_batched(
+                self.configs, warmup=self.warmup, meter=meter, progress=progress
+            )
+            return CohortOutcome(results, meter)
+        if meter is not None:
+            meter.inc("batch.scalar_fallbacks", float(len(self.configs)))
+        results = []
+        for index, config in enumerate(self.configs):
+            results.append(run_uplink_session(config, warmup=self.warmup))
+            if progress is not None:
+                # Scalar cohorts have no shared tick loop; report whole
+                # sessions instead (tick stays monotone per stream).
+                progress(index + 1, len(self.configs), len(self.configs))
+        return CohortOutcome(results, meter)
+
+
 class BatchRunner:
     """Run a sweep's sessions as lockstep cohorts, optionally pooled.
 
@@ -142,10 +147,10 @@ class BatchRunner:
         amortise the per-tick vector dispatch over more sessions (the
         dominant win); the default suits sweep-sized groups.
     jobs:
-        Process-pool width for cohort fan-out, resolved exactly like
-        :func:`repro.experiments.parallel.resolve_jobs`.  Cohorts are
-        the fan-out unit; with one cohort (or one core) the runner
-        stays serial.
+        Process-pool width for cohort fan-out, passed to
+        :func:`repro.experiments.parallel.run_tasks` (which stays serial
+        when a pool cannot win, e.g. one cohort or one core).  Cohorts
+        are the fan-out unit.
     on_unsupported:
         ``"raise"`` (default) fails fast on configs outside the
         lockstep grid; ``"serial"`` routes them one-by-one through the
@@ -169,6 +174,15 @@ class BatchRunner:
     ):
         if on_unsupported not in ("raise", "serial"):
             raise ValueError("on_unsupported must be 'raise' or 'serial'")
+        for name, value, low in (
+            ("max_cohort", max_cohort, 1),
+            ("scalar_crossover", scalar_crossover, 0),
+        ):
+            integral = isinstance(value, numbers.Integral) and not isinstance(
+                value, bool
+            )
+            if not integral or value < low:
+                raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
         self.max_cohort = max_cohort
         self.jobs = jobs
         self.on_unsupported = on_unsupported
@@ -201,8 +215,6 @@ class BatchRunner:
         cohort records into a run ledger's heartbeat file.  Metering is
         strictly read-only: results are byte-identical to :meth:`run`.
         """
-        from repro.obs.meter import SessionMeter
-
         results, meters = self._execute(
             configs,
             warmup,
@@ -244,41 +256,21 @@ class BatchRunner:
         # caller's positions.
         cohorts = [[supported[i] for i in cohort] for cohort in cohorts]
         heartbeat = None if heartbeat_path is None else str(heartbeat_path)
-        payloads = [
-            (
-                "scalar" if len(cohort) < self.scalar_crossover else "batched",
-                [configs[i] for i in cohort],
+        tasks = [
+            CohortTask(
+                tuple(configs[i] for i in cohort),
                 warmup,
-                metered,
-                heartbeat,
-                label,
+                scalar=len(cohort) < self.scalar_crossover,
+                meter=metered,
+                heartbeat_path=heartbeat,
+                label=label,
             )
             for label, cohort in enumerate(cohorts)
         ]
+        outcomes = run_tasks(tasks, jobs=self.jobs, progress=progress)
         results: List[Optional[SessionResult]] = [None] * len(configs)
-        meters = []
-        workers = resolve_jobs(self.jobs)
-        serial = (
-            workers <= 1
-            or len(payloads) <= 1
-            or (os.cpu_count() or 1) == 1
-            or len(payloads) < workers
-        )
-        if serial:
-            outcomes = map(_run_cohort, payloads)
-        else:
-            pool = ProcessPoolExecutor(max_workers=workers)
-            outcomes = pool.map(_run_cohort, payloads)
-        cohort_results = []
-        for done, (batch, meter) in enumerate(outcomes, start=1):
-            cohort_results.append(batch)
-            meters.append(meter)
-            if progress is not None:
-                progress(done, len(payloads), CohortOutcome(batch, meter))
-        if not serial:
-            pool.shutdown()
-        for cohort, batch in zip(cohorts, cohort_results):
-            for position, result in zip(cohort, batch):
+        for cohort, outcome in zip(cohorts, outcomes):
+            for position, result in zip(cohort, outcome.results):
                 results[position] = result
         if fallback:
             from repro.telephony.session import run_session
@@ -287,7 +279,7 @@ class BatchRunner:
                 results[position] = run_session(
                     configs[position], warmup=warmup
                 )
-        return results, meters
+        return results, [outcome.meter for outcome in outcomes]
 
 
 def run_batched_sessions(

@@ -302,13 +302,13 @@ def fleet_sweep(
     in task order, so the output is independent of ``jobs``.
 
     ``batch=True`` runs the same seed schedule on the batched cell
-    engine (:mod:`repro.sim.batch_cell`): the sweep's cell blocks, all
+    engine (:mod:`repro.sim.batch`): the sweep's cell blocks, all
     points together, are packed into at most ``jobs`` engine runs
     (:func:`pack_cell_blocks`) that shard across the pool instead of
     single cells, the scenario is coerced onto the
     lockstep grid (:func:`lockstep_scenario`), the ``fleet.*`` registry
     is metered **live** inside the engine's tick loop (per-cell meters
-    from :meth:`~repro.sim.batch_cell.BatchedCellSimulation.run_cells`,
+    from :meth:`~repro.sim.batch.BatchedSimulation.run_cells`,
     including the batched-engine ``batch.*`` and
     ``fleet.cell_prb_exhausted`` counters), and user-profile rotation is
     unsupported (profiles are an event-engine feature).  Serial and

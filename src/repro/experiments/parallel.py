@@ -188,7 +188,7 @@ class CellBlockTask:
 
     The ``--batch`` planning unit: one task describes a contiguous run
     of one sweep point's cells (consecutive seeds, ``ues`` callers
-    each) for a :class:`repro.sim.batch_cell.BatchedCellSimulation`.
+    each) for a cell-coupled :class:`repro.sim.batch.BatchedSimulation`.
     Cells never couple with each other, so how cells are partitioned
     into blocks — and how blocks are packed into engine runs
     (:class:`PackedCellBlocksTask`, which may mix member counts) —
@@ -212,7 +212,7 @@ class CellBlockTask:
     prb_budget: int = 50
     #: Attach live per-cell engine meters (``fleet.*`` + ``batch.*``
     #: counters accumulated inside the tick loop; see
-    #: :meth:`repro.sim.batch_cell.BatchedCellSimulation.run_cells`).
+    #: :meth:`repro.sim.batch.BatchedSimulation.run_cells`).
     meter: bool = False
     #: Run-ledger heartbeat file: the block streams cohort-progress
     #: records into it from inside the tick loop (worker-safe appends;
@@ -257,7 +257,7 @@ class PackedCellBlocksTask:
 
     The ``--batch`` sharding unit: the blocks' cells — whatever their
     member counts — tick together in a single
-    :class:`repro.sim.batch_cell.BatchedCellSimulation`, so a whole
+    :class:`repro.sim.batch.BatchedSimulation`, so a whole
     capacity sweep pays the per-tick cost once instead of once per
     point.  The blocks must share ``duration``, ``warmup`` and
     ``meter`` (and, like every lockstep block, one grid signature);
@@ -270,7 +270,7 @@ class PackedCellBlocksTask:
     blocks: tuple
 
     def run(self) -> List[List]:
-        from repro.sim.batch_cell import run_batched_cells
+        from repro.sim.batch import run_batched_cells
 
         first = self.blocks[0]
         cells: List[List] = []
@@ -325,8 +325,9 @@ def run_tasks(
 
     Tasks are anything with a picklable ``.run()`` — per-session
     :class:`SessionTask`, per-cell :class:`CellTask` (whole cells are
-    the sharding unit for event fleet sweeps) or
-    :class:`PackedCellBlocksTask` (batched fleet sweeps).
+    the sharding unit for event fleet sweeps),
+    :class:`PackedCellBlocksTask` (batched fleet sweeps) or
+    :class:`repro.experiments.batch.CohortTask` (lockstep cohorts).
 
     Falls back to serial execution — no pool spin-up, no pickling —
     whenever a pool cannot win: one effective worker or at most one

@@ -312,8 +312,8 @@ def bench_batched_cells(
     leg drives ``serial_cells`` scalar :class:`repro.telephony.uplink.
     UplinkCellSession` cells (N coupled members each, one Python tick
     loop per cell) and is timed **once**; the batched legs advance
-    C-cell blocks through :class:`repro.sim.batch_cell.
-    BatchedCellSimulation` (bit-identical results, see
+    C-cell blocks through a cell-coupled :class:`repro.sim.batch.
+    BatchedSimulation` (bit-identical results, see
     tests/test_batch_cell.py).  The tracked signal is aggregate
     *cell-member sessions per second* and the headline ``speedup`` is
     the largest block's rate over the serial rate — at the default
@@ -322,7 +322,7 @@ def bench_batched_cells(
     import gc
 
     from repro.config import FleetConfig
-    from repro.sim.batch_cell import run_batched_cells
+    from repro.sim.batch import run_batched_cells
     from repro.telephony.fleet import member_configs
     from repro.telephony.uplink import UplinkCellSession
 

@@ -238,10 +238,12 @@ class SharedCell:
         ``(mean_share / own_share) ** pf_weight_exponent``, clamped into
         ``[1/pf_weight_max, pf_weight_max]``; exactly ``1.0`` for a
         lone member (shares cancel), for perfectly equal shares, or
-        when the exponent is zero.  The power goes through the numpy
+        when the exponent is zero.  At the default exponent 1 the
+        weight is the ratio itself, skipping a scalar ufunc call on
+        every load read; otherwise the power goes through the numpy
         ufunc, so the value equals :class:`SharedCellArray`'s elementwise
-        ``np.power`` bit for bit; Python's ``**`` calls libm ``pow``,
-        which numpy's vectorised loop need not match in the last bit.
+        ``np.power`` bit for bit (Python's ``**`` calls libm ``pow``,
+        which numpy's vectorised loop need not match in the last bit).
         """
         total = self._aggregate(now)
         count = len(self._members)
@@ -249,7 +251,10 @@ class SharedCell:
             return 1.0
         mine = self._members[index].share
         ratio = (total / count + _SHARE_EPS) / (mine + _SHARE_EPS)
-        weight = float(np.power(ratio, self._kappa))
+        if self._kappa == 1.0:
+            weight = ratio
+        else:
+            weight = float(np.power(ratio, self._kappa))
         if weight > self._weight_max:
             return self._weight_max
         floor = 1.0 / self._weight_max
@@ -332,7 +337,7 @@ class SharedCell:
 
 
 # ----------------------------------------------------------------------
-# Batched twin (repro.sim.batch_cell)
+# Batched twin (repro.sim.batch)
 # ----------------------------------------------------------------------
 
 #: Background-crowd update cadence on the 1 ms grid (subframes).
@@ -346,7 +351,7 @@ class SharedCellArray:
     zero-padded ``(C, N_max)`` array (row ``c`` holds cell ``c``'s
     members left-aligned); everything per member is computed on the flat
     cell-major session order — identical to the flat cohort order of
-    :class:`repro.sim.batch_cell.BatchedCellSimulation` — through a
+    :class:`repro.sim.batch.BatchedSimulation` — through a
     flat → (cell, padded slot) index map.
 
     One :meth:`member_loads` call per 1 ms tick advances **every** cell:
@@ -400,6 +405,10 @@ class SharedCellArray:
         # PF-weight parameters, one entry per flat session.
         self._count = np.array(counts, dtype=np.float64)[cell_of]
         self._kappa = np.array([f.pf_weight_exponent for f in fleets])[cell_of]
+        #: Rows at the default exponent 1 take the ratio as their weight,
+        #: as :meth:`SharedCell.pf_weight` does (None: every row does).
+        unit = self._kappa == 1.0
+        self._unit_kappa = None if unit.all() else unit
         wmax = np.array([f.pf_weight_max for f in fleets])[cell_of]
         self._wmax = wmax
         self._wfloor = 1.0 / wmax
@@ -473,7 +482,12 @@ class SharedCellArray:
         # A 1-member cell's ratio is exactly 1.0 (its total *is* its
         # share), so its weight is 1.0 and ``np.where`` keeps ``raw``.
         ratio = (cell_total / self._count + _SHARE_EPS) / (own + _SHARE_EPS)
-        weight = np.power(ratio, self._kappa)
+        if self._unit_kappa is None:
+            weight = ratio
+        else:
+            weight = np.where(
+                self._unit_kappa, ratio, np.power(ratio, self._kappa)
+            )
         np.minimum(weight, self._wmax, out=weight)
         np.maximum(weight, self._wfloor, out=weight)
         boosted = 1.0 - weight * (1.0 - raw)

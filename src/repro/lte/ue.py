@@ -211,8 +211,8 @@ class UeUplinkArray:
         (a shared zeros array when nobody was served — read-only).
         Post-drain levels are ``self.buffer.level``.
 
-        ``loads``/``cells`` are the shared-cell hooks
-        (:class:`repro.sim.batch_cell.BatchedCellSimulation`): ``loads``
+        ``loads``/``cells`` are the shared-cell hooks of a cell-coupled
+        :class:`repro.sim.batch.BatchedSimulation`: ``loads``
         replaces each session's own cell-load model with its cell-member
         effective load, and ``cells`` (a
         :class:`~repro.lte.shared_cell.SharedCellArray`) routes every

@@ -253,7 +253,7 @@ _SPECS = (
     ),
     MetricSpec(
         "fleet.cell_prb_exhausted", "counter", "fleet", "",
-        "repro.sim.batch_cell.BatchedCellSimulation._subframe",
+        "repro.sim.batch.BatchedSimulation.run_cells",
         "Subframes a batched cell ended with its PRB budget exhausted "
         "(fewer than one grantable PRB left).",
     ),

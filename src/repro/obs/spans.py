@@ -87,7 +87,7 @@ _SPECS = (
     SpanSpec(
         "batch.cell_run",
         "batch",
-        "repro.sim.batch_cell.BatchedCellSimulation.run_cells",
+        "repro.sim.batch.BatchedSimulation.run_cells",
         "One batched cell block: C cells x N members, one 1 ms grid.",
     ),
 )

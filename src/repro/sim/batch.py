@@ -11,6 +11,16 @@ does, and it is the repo's answer to fleet-scale sweeps: aggregate
 sessions/sec grows ~linearly with the cohort size until the arrays
 dominate (see docs/PERFORMANCE.md, "Batched lockstep engine").
 
+The same engine runs shared cells (docs/FLEET.md): given per-cell
+member counts and fleets, the flat cohort is the cell-major
+concatenation of C cells' member lists (cells may differ in size), and
+one :class:`repro.lte.shared_cell.SharedCellArray` holds every cell's
+realized-share EWMAs as a zero-padded ``(C, N_max)`` array, computes
+all members' PF-coupled effective loads in one pass, and clips every
+PRB grant against the per-cell per-subframe budgets in a single
+order-preserving claim pass.  A run without cells builds no
+``SharedCellArray``: its subframe phase is the plain UE pass.
+
 Equivalence contract
 --------------------
 
@@ -28,25 +38,42 @@ both.  The machinery making that possible:
   through the *same* scalar code both engines share
   (:class:`~repro.telephony.uplink.ReceiverState`).
 
+Shared cells (``tests/test_batch_cell.py``): a cell run inside any
+block equals the same cell run alone (cells never couple, whatever
+their member counts); a **C=1** block reproduces the scalar reference
+:class:`repro.telephony.uplink.UplinkCellSession` (the production
+:class:`~repro.lte.shared_cell.SharedCell` on the tick clock) to the
+bit — logs, summaries, member bytes, Jain index; and a block of
+**1-member** cells equals the same configs run without cells (peer
+share 0.0 adds bitwise-neutrally, the PF weight branch is skipped, the
+default budget covers the largest solo grant).  Parity with the
+event-driven :func:`repro.telephony.fleet.run_cell` is statistical
+(same contention model, different clocking).
+
 Cohorts must be *structurally* homogeneous — same grid cadences, same
 detector window, same TBS window (see
 :meth:`~repro.telephony.uplink.UplinkProfile.signature`).  Everything
-parametric (RSS, speed, load, seeds, rates, margins, targets) may vary
-per session; :func:`repro.experiments.batch.run_batched_sessions`
-slices arbitrary sweep grids into valid cohorts.
+parametric (RSS, speed, load, seeds, rates, margins, targets, member
+counts, per-cell fleet parameters) may vary per session or per cell;
+:func:`repro.experiments.batch.run_batched_sessions` slices arbitrary
+sweep grids into valid cohorts.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import SessionConfig
+from repro.config import FleetConfig, SessionConfig
+from repro.lte.shared_cell import SharedCellArray
 from repro.lte.ue import UeUplinkArray
+from repro.metrics.stats import jain_index
 from repro.metrics.summary import SessionLog, SessionSummary
-from repro.obs.meter import coerce_meter
+from repro.obs.meter import SessionMeter, coerce_meter
 from repro.rate_control.fbcc.batch import (
     DetectorArray,
     EncodingHoldArray,
@@ -57,6 +84,7 @@ from repro.rate_control.fbcc.batch import (
 from repro.rate_control.pacer import PacedSenderArray
 from repro.sim.blocks import BlockStreamArray, lognormal_transform
 from repro.sim.rng import RngRegistry
+from repro.telephony.fleet import CellResult, member_configs
 from repro.telephony.session import SessionResult
 from repro.telephony.uplink import (
     MS,
@@ -66,6 +94,7 @@ from repro.telephony.uplink import (
     run_ticks,
 )
 from repro.units import BITS_PER_BYTE
+from repro.video.quality import mos_score
 
 
 def _session_streams(config: SessionConfig):
@@ -80,9 +109,24 @@ DEFAULT_PROGRESS_TICKS = 5000
 
 
 class BatchedSimulation:
-    """Advance a homogeneous cohort of sessions in 1 ms lockstep."""
+    """Advance a homogeneous cohort of sessions in 1 ms lockstep.
 
-    def __init__(self, configs: Sequence[SessionConfig]):
+    Without ``counts`` the sessions are independent.  With ``counts``
+    (one member count per cell, summing to ``len(configs)``) the
+    cell-major cohort is coupled into shared cells, and ``fleets``
+    holds one :class:`FleetConfig` per cell (PRB budget, PF coupling,
+    background population; default: ``FleetConfig(ues=count,
+    seed=<the cell's first member seed>)``).  Member counts, per-member
+    parameters and per-cell fleet parameters may vary freely; every
+    session must share the grid cadences.
+    """
+
+    def __init__(
+        self,
+        configs: Sequence[SessionConfig],
+        counts: Optional[Sequence[int]] = None,
+        fleets: Optional[Sequence[FleetConfig]] = None,
+    ):
         if not configs:
             raise ValueError("empty cohort")
         profiles = [UplinkProfile.from_config(c) for c in configs]
@@ -175,6 +219,32 @@ class BatchedSimulation:
         #: min — the gate that keeps the flush phase off the hot path.
         self._next_display = np.full(n, float("inf"))
         self._next_flush = float("inf")
+
+        #: Shared cells, or None for independent sessions.
+        self._cells: Optional[SharedCellArray] = None
+        #: Per-cell count of subframes that ended with the PRB budget
+        #: exhausted — telemetry of a metered :meth:`run_cells`, never
+        #: read by the simulation (None when not counting).
+        self._prb_exhausted: Optional[np.ndarray] = None
+        if counts is None:
+            if fleets is not None:
+                raise ValueError("fleets need per-cell member counts")
+            return
+        counts = list(counts)
+        if sum(counts) != n or min(counts) < 1:
+            raise ValueError(
+                f"cell member counts {counts} must be >= 1 and sum to {n}"
+            )
+        #: Flat-cohort offsets: cell ``c`` owns sessions
+        #: ``bounds[c]:bounds[c + 1]``.
+        self._bounds = list(itertools.accumulate(counts, initial=0))
+        if fleets is None:
+            fleets = [
+                FleetConfig(ues=count, seed=self.configs[lo].seed)
+                for count, lo in zip(counts, self._bounds)
+            ]
+        self.fleets = list(fleets)
+        self._cells = SharedCellArray(self.fleets, counts, self._ue.cell)
 
     # -- tick phases (numbered as in UplinkSession._tick) ---------------
 
@@ -301,8 +371,17 @@ class BatchedSimulation:
         # 7. pacing tick
         if k % profile.pacer_ticks == 0:
             self._pace()
-        # 8. LTE subframe
-        tbs, rounds = self._subframe(k, now)
+        # 8. LTE subframe (through the shared cells' loads and budgets
+        # when the cohort is coupled)
+        cells = self._cells
+        if cells is None:
+            tbs, rounds = self._ue.subframe(now)
+        else:
+            tbs, rounds = self._ue.subframe(
+                now, loads=cells.member_loads(k, now), cells=cells
+            )
+            if self._prb_exhausted is not None:
+                self._prb_exhausted += cells.budget_left < 1.0
         if rounds:
             self._in_flight.setdefault(k + profile.deliver_ticks, []).extend(rounds)
         self._bandwidth.on_record(tbs)
@@ -340,13 +419,6 @@ class BatchedSimulation:
             self._baseline_pacer_drops = self._pacer.dropped_frames.copy()
             self._baseline_bytes = self._ue.bytes_sent.copy()
 
-    def _subframe(self, k: int, now: float):
-        """Phase-8 grant pass; the cell-coupled engine
-        (:class:`repro.sim.batch_cell.BatchedCellSimulation`) overrides
-        this to advance the shared cells and route grants through their
-        budgets."""
-        return self._ue.subframe(now)
-
     def _materialise_arrivals(self) -> None:
         """Turn the staged (now, rows, sizes) drain rounds into each
         session's ``log.arrivals``.  The stable sort keeps every
@@ -381,41 +453,14 @@ class BatchedSimulation:
 
     # -- public API ------------------------------------------------------
 
-    #: Span name the run records (the cell-coupled engine overrides it).
-    _RUN_SPAN = "batch.run"
-
-    #: True while a metered run's tick loop is live — subclass tick
-    #: hooks may accumulate telemetry observations behind this flag.
-    _metering = False
-
-    def run(
-        self,
-        duration: Optional[float] = None,
-        warmup: float = 0.0,
-        meter=None,
-        progress=None,
-        progress_every: int = DEFAULT_PROGRESS_TICKS,
-    ) -> List[SessionResult]:
-        """Run the cohort and return one :class:`SessionResult` each.
-
-        ``meter`` (same coercion as ``run_session``) receives the
-        cohort-level batch counters and the :data:`_RUN_SPAN` wall-clock
-        span.  ``progress`` is an optional live callback invoked as
-        ``progress(tick, total_ticks, n_sessions)`` every
-        ``progress_every`` grid ticks plus once at the final tick (see
-        :func:`repro.obs.ledger.cohort_heartbeat_callback`).  Both only
-        *read* engine state, so a metered/observed run stays
-        byte-identical to a plain one.
-        """
+    def _advance(self, duration, warmup, progress, progress_every):
+        """Tick the whole run; returns ``(duration, total_ticks)``."""
         if duration is None:
             durations = {c.duration for c in self.configs}
             if len(durations) != 1:
                 raise ValueError("mixed config durations; pass duration explicitly")
             duration = durations.pop()
         warm_ticks, total_ticks = run_ticks(duration, warmup)
-        meter = coerce_meter(meter)
-        self._metering = bool(meter)
-        t0 = meter.span_start() if meter else 0.0
         if progress is not None:
             stride = max(1, int(progress_every))
             for k in range(1, total_ticks + 1):
@@ -425,8 +470,10 @@ class BatchedSimulation:
         else:
             for k in range(1, total_ticks + 1):
                 self._tick(k, warm_ticks)
-        if meter:
-            self._record_meter(meter, total_ticks, t0)
+        return duration, total_ticks
+
+    def _results(self, duration: float) -> List[SessionResult]:
+        """Close every session's log after the last tick."""
         fw_drops = self._ue.buffer.dropped_packets - self._baseline_fw_drops
         pacer_drops = self._pacer.dropped_frames - self._baseline_pacer_drops
         congestion = self._encoding.congestion_events
@@ -449,18 +496,119 @@ class BatchedSimulation:
             results.append(SessionResult(config=config, summary=summary, log=log))
         return results
 
-    def _record_meter(self, meter, total_ticks: int, t0: float) -> None:
-        """Fold this run's cohort-level telemetry into ``meter``.
+    def run(
+        self,
+        duration: Optional[float] = None,
+        warmup: float = 0.0,
+        meter=None,
+        progress=None,
+        progress_every: int = DEFAULT_PROGRESS_TICKS,
+    ) -> List[SessionResult]:
+        """Run the cohort and return one :class:`SessionResult` each.
 
-        Every value is a pure function of the cohort (sessions, grid
-        ticks), so the counters are identical however a sweep is sliced
-        into cohorts of equal total size; the span records wall clock
-        and, like every span, never enters deterministic snapshots.
+        ``meter`` (same coercion as ``run_session``) receives the
+        cohort-level batch counters and the ``batch.run`` wall-clock
+        span.  Every counter is a pure function of the cohort (sessions,
+        grid ticks), so the counters are identical however a sweep is
+        sliced into cohorts of equal total size.  ``progress`` is an
+        optional live callback invoked as ``progress(tick, total_ticks,
+        n_sessions)`` every ``progress_every`` grid ticks plus once at
+        the final tick (see
+        :func:`repro.obs.ledger.cohort_heartbeat_callback`).  Both only
+        *read* engine state, so a metered/observed run stays
+        byte-identical to a plain one.
         """
-        meter.inc("batch.cohorts")
-        meter.inc("batch.sessions", float(self.n))
-        meter.inc("batch.subframes", float(self.n * total_ticks))
-        meter.span_end(self._RUN_SPAN, t0)
+        meter = coerce_meter(meter)
+        t0 = meter.span_start() if meter else 0.0
+        duration, total_ticks = self._advance(
+            duration, warmup, progress, progress_every
+        )
+        if meter:
+            meter.inc("batch.cohorts")
+            meter.inc("batch.sessions", float(self.n))
+            meter.inc("batch.subframes", float(self.n * total_ticks))
+            meter.span_end("batch.run", t0)
+        return self._results(duration)
+
+    def run_cells(
+        self,
+        duration: Optional[float] = None,
+        warmup: float = 0.0,
+        meter: bool = False,
+        progress=None,
+    ) -> List[CellResult]:
+        """Run a cell-coupled cohort; one :class:`CellResult` per cell.
+
+        With ``meter=True`` every cell gets a **live** engine meter: the
+        ``fleet.*`` cell observations plus the batched-engine counters
+        (``batch.sessions``, ``batch.subframes``,
+        ``fleet.cell_prb_exhausted``) accumulated during the tick loop —
+        all pure functions of the cell, so merged registries are
+        byte-equal for any block partition.  The block's
+        ``batch.cell_run`` wall-clock span rides the first cell's meter
+        (spans never enter deterministic snapshots).  ``progress`` is
+        :meth:`run`'s.
+        """
+        if self._cells is None:
+            raise ValueError("run_cells needs per-cell member counts")
+        engine = SessionMeter() if meter else None
+        t0 = engine.span_start() if meter else 0.0
+        if meter:
+            self._prb_exhausted = np.zeros(self._cells.cells, dtype=np.int64)
+        duration, total_ticks = self._advance(
+            duration, warmup, progress, DEFAULT_PROGRESS_TICKS
+        )
+        if meter:
+            engine.span_end("batch.cell_run", t0)
+        results = self._results(duration)
+        bytes_sent = (self._ue.bytes_sent - self._baseline_bytes).tolist()
+        bounds = self._bounds
+        cell_results = []
+        for index, fleet in enumerate(self.fleets):
+            lo, hi = bounds[index], bounds[index + 1]
+            members = results[lo:hi]
+            member_bytes = tuple(bytes_sent[lo:hi])
+            member_mos = tuple(
+                mos_score(result.summary.quality.mos_pdf) for result in members
+            )
+            cell_results.append(
+                CellResult(
+                    fleet=fleet,
+                    results=members,
+                    jain=jain_index(member_bytes),
+                    member_bytes=member_bytes,
+                    member_mos=member_mos,
+                    meter=self._one_cell_meter(
+                        index, members, member_bytes, total_ticks
+                    )
+                    if meter
+                    else None,
+                )
+            )
+        if meter:
+            cell_results[0].meter.merge(engine)
+        return cell_results
+
+    def _one_cell_meter(
+        self, index: int, members, member_bytes, total_ticks: int
+    ) -> SessionMeter:
+        """The live per-cell registry (see :meth:`run_cells`)."""
+        n = len(members)
+        meter = SessionMeter()
+        meter.inc("fleet.cells")
+        meter.observe("fleet.cell_members", float(n))
+        meter.observe("fleet.cell_jain", jain_index(member_bytes))
+        for result in members:
+            mos = mos_score(result.summary.quality.mos_pdf)
+            if not math.isnan(mos):
+                meter.observe("fleet.member_mos", mos)
+            rate = result.summary.throughput.mean / 1e6
+            if not math.isnan(rate):
+                meter.observe("fleet.member_rate_mbps", rate)
+        meter.inc("batch.sessions", float(n))
+        meter.inc("batch.subframes", float(n * total_ticks))
+        meter.inc("fleet.cell_prb_exhausted", float(self._prb_exhausted[index]))
+        return meter
 
 
 def run_batched(
@@ -474,3 +622,41 @@ def run_batched(
     return BatchedSimulation(configs).run(
         duration, warmup=warmup, meter=meter, progress=progress
     )
+
+
+def run_batched_cells(
+    cells: Sequence[Sequence[SessionConfig]],
+    fleets: Optional[Sequence[FleetConfig]] = None,
+    duration: Optional[float] = None,
+    warmup: float = 0.0,
+    meter: bool = False,
+    progress=None,
+) -> List[CellResult]:
+    """Build and run one block of shared cells; ``cells`` is a list of
+    per-cell member-config lists of any lengths."""
+    cells = [list(members) for members in cells]
+    if not cells:
+        raise ValueError("empty cell block")
+    flat = [config for members in cells for config in members]
+    engine = BatchedSimulation(
+        flat, counts=[len(members) for members in cells], fleets=fleets
+    )
+    return engine.run_cells(duration, warmup=warmup, meter=meter, progress=progress)
+
+
+def run_batched_cell(
+    config: SessionConfig,
+    ues: int = 4,
+    fleet: Optional[FleetConfig] = None,
+    duration: Optional[float] = None,
+    warmup: float = 0.0,
+) -> CellResult:
+    """Single-cell convenience mirroring
+    :func:`repro.telephony.uplink.run_uplink_cell` (and, statistically,
+    :func:`repro.telephony.fleet.run_cell`)."""
+    if fleet is None:
+        fleet = FleetConfig(ues=ues, seed=config.seed)
+    return run_batched_cells(
+        [member_configs(config, ues)], fleets=[fleet], duration=duration,
+        warmup=warmup,
+    )[0]

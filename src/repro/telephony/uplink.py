@@ -137,29 +137,6 @@ def batch_unsupported_reason(config: SessionConfig) -> Optional[str]:
     return None
 
 
-def cell_batch_unsupported_reason(
-    configs: Sequence[SessionConfig], fleet: FleetConfig
-) -> Optional[str]:
-    """Why this member list + fleet cannot run as one batched cell.
-
-    The cell-homogeneity contract: every member must individually pass
-    :func:`batch_unsupported_reason`, and all members must share the
-    profile's grid cadences (per-member *parameters* — seeds, RSS,
-    speed, rates — may vary freely, as may the per-cell fleet
-    parameters across a batched block).
-    """
-    if not configs:
-        return "a cell needs at least one member config"
-    for config in configs:
-        reason = batch_unsupported_reason(config)
-        if reason is not None:
-            return reason
-    signatures = {UplinkProfile.from_config(c).signature() for c in configs}
-    if len(signatures) > 1:
-        return "cell members are not structurally homogeneous"
-    return None
-
-
 @dataclass(frozen=True)
 class UplinkProfile:
     """Grid cadences + shared derived constants of the lockstep profile.
@@ -635,10 +612,10 @@ class UplinkCellSession:
     then :meth:`~repro.lte.shared_cell.SharedCell.begin_subframe`:
     share decay and PRB budget reset), then every
     member runs its full subframe in attach order, claiming grants from
-    the shared budget.  This is the bit-exactness reference the batched
-    :class:`repro.sim.batch_cell.BatchedCellSimulation` must reproduce
-    (``tests/test_batch_cell.py``), exactly as :class:`UplinkSession`
-    is the reference for :class:`repro.sim.batch.BatchedSimulation`;
+    the shared budget.  This is the bit-exactness reference a
+    cell-coupled :class:`repro.sim.batch.BatchedSimulation` must
+    reproduce (``tests/test_batch_cell.py``), exactly as
+    :class:`UplinkSession` is the reference for an uncoupled one;
     parity with the event-driven :func:`repro.telephony.fleet.run_cell`
     is statistical (same contention model, different clocking), not
     bitwise.
@@ -650,16 +627,16 @@ class UplinkCellSession:
         fleet: Optional[FleetConfig] = None,
     ):
         configs = list(configs)
+        if not configs:
+            raise ValueError("a cell needs at least one member config")
+        self.members = [UplinkSession(config) for config in configs]
+        signatures = {member.profile.signature() for member in self.members}
+        if len(signatures) > 1:
+            raise ValueError("cell members are not structurally homogeneous")
         if fleet is None:
-            fleet = FleetConfig(
-                ues=len(configs), seed=configs[0].seed if configs else 0
-            )
-        reason = cell_batch_unsupported_reason(configs, fleet)
-        if reason is not None:
-            raise ValueError(f"cell unsupported by the lockstep profile: {reason}")
+            fleet = FleetConfig(ues=len(configs), seed=configs[0].seed)
         self.fleet = fleet
         self.cell = SharedCell(fleet, background_rng(fleet))
-        self.members = [UplinkSession(config) for config in configs]
         for member in self.members:
             member.join_cell(self.cell)
 

@@ -3,15 +3,17 @@ reference, cohort validation, and the sweep-slicing BatchRunner."""
 
 import dataclasses
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.config import SessionConfig
+from repro.experiments import parallel
 from repro.experiments.batch import BatchRunner, plan_cohorts, run_batched_sessions
-from repro.sim.batch import BatchedSimulation, run_batched
-from repro.sim.batch_cell import run_batched_cell
+from repro.experiments.fleet import deterministic_registry_dict
+from repro.sim.batch import BatchedSimulation, run_batched, run_batched_cell
 from repro.telephony.fleet import run_cell
 from repro.telephony.session import run_session
 from repro.telephony.uplink import (
@@ -277,3 +279,79 @@ def test_batch_runner_raises_on_unsupported_by_default():
     )
     with pytest.raises(ValueError, match="lockstep"):
         BatchRunner().run([lockstep_config(), bad])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_cohort", 0),
+        ("max_cohort", -3),
+        ("max_cohort", 2.5),
+        ("max_cohort", True),
+        ("max_cohort", "8"),
+        ("scalar_crossover", -1),
+        ("scalar_crossover", 1.5),
+        ("scalar_crossover", False),
+        ("scalar_crossover", None),
+    ],
+)
+def test_batch_runner_rejects_bad_sizes(field, value):
+    with pytest.raises(ValueError, match=field):
+        BatchRunner(**{field: value})
+
+
+def test_batch_runner_accepts_edge_sizes():
+    runner = BatchRunner(max_cohort=np.int64(1), scalar_crossover=0)
+    assert (runner.max_cohort, runner.scalar_crossover) == (1, 0)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+def test_pooled_cohorts_equal_serial_cohorts(monkeypatch):
+    """``jobs=2`` fans three cohorts (one below the scalar crossover)
+    across the ``run_tasks`` process pool: results, the deterministic
+    engine registry and the per-cohort progress order equal ``jobs=1``."""
+    pools = []
+
+    class _CountedPool(parallel.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _CountedPool)
+    configs = [lockstep_config(seed=s, duration=2.0) for s in range(1, 6)]
+    cohorts = plan_cohorts(configs, max_cohort=2)
+    assert [len(cohort) for cohort in cohorts] == [2, 2, 1]
+
+    def run(jobs):
+        calls = []
+        runner = BatchRunner(max_cohort=2, jobs=jobs, scalar_crossover=2)
+        results, meter = runner.run_metered(
+            configs,
+            warmup=0.5,
+            progress=lambda done, total, outcome: calls.append(
+                (done, total, outcome.results)
+            ),
+        )
+        return results, meter, calls
+
+    serial, serial_meter, serial_calls = run(1)
+    assert pools == []
+    pooled, pooled_meter, pooled_calls = run(2)
+    assert pools == [2]
+    for a, b in zip(serial, pooled):
+        assert_bit_identical(a, b)
+    assert deterministic_registry_dict(serial_meter) == (
+        deterministic_registry_dict(pooled_meter)
+    )
+    assert pooled_meter.metrics.counters["batch.scalar_fallbacks"] == 1.0
+    assert pooled_meter.metrics.counters["batch.cohorts"] == 2.0
+    assert [(done, total) for done, total, _ in pooled_calls] == [
+        (1, 3), (2, 3), (3, 3)
+    ]
+    for cohort, (_, _, outcome), (_, _, reference) in zip(
+        cohorts, pooled_calls, serial_calls
+    ):
+        assert len(outcome) == len(cohort)
+        for position, result, expected in zip(cohort, outcome, reference):
+            assert_bit_identical(pooled[position], result)
+            assert_bit_identical(expected, result)

@@ -24,18 +24,14 @@ from repro.lte.shared_cell import (
     SharedCellArray,
     background_rng,
 )
-from repro.sim.batch import run_batched
-from repro.sim.batch_cell import (
-    BatchedCellSimulation,
+from repro.sim.batch import (
+    BatchedSimulation,
+    run_batched,
     run_batched_cell,
     run_batched_cells,
 )
 from repro.telephony.fleet import member_configs, run_cell
-from repro.telephony.uplink import (
-    UplinkCellSession,
-    cell_batch_unsupported_reason,
-    run_uplink_cell,
-)
+from repro.telephony.uplink import UplinkCellSession, run_uplink_cell
 
 from tests.test_batch import assert_bit_identical, lockstep_config, nan_equal
 
@@ -69,7 +65,7 @@ def test_scalar_cell_shares_equal_batched_shares_through_idle_ticks():
     members = member_configs(config, 3)
     scalar = UplinkCellSession(members, fleet=fleet)
     scalar.run(warmup=0.5)
-    batched = BatchedCellSimulation([members], fleets=[fleet])
+    batched = BatchedSimulation(members, counts=[3], fleets=[fleet])
     batched.run_cells(warmup=0.5)
     end = 4500 * 1e-3  # the last tick: (0.5 + 4.0) s of 1 ms ticks
     shares = [scalar.cell.share_of(m, end) for m in range(3)]
@@ -114,20 +110,23 @@ def test_one_member_cell_degenerates_to_independent_cohort():
 def test_heterogeneous_cells_rejected():
     aligned = lockstep_config()
     fleet = FleetConfig(ues=2, seed=1)
-    assert cell_batch_unsupported_reason(member_configs(aligned, 2), fleet) is None
+    UplinkCellSession(member_configs(aligned, 2), fleet=fleet)
+    BatchedSimulation(member_configs(aligned, 2), counts=[2], fleets=[fleet])
 
     off_grid = replace(aligned, video=replace(aligned.video, fps=30.0))
-    assert "grid" in cell_batch_unsupported_reason([off_grid], FleetConfig(ues=1))
+    with pytest.raises(ValueError, match="grid"):
+        UplinkCellSession([off_grid], fleet=FleetConfig(ues=1))
+    with pytest.raises(ValueError, match="grid"):
+        BatchedSimulation([off_grid], counts=[1], fleets=[FleetConfig(ues=1)])
 
     mixed_cadence = [
         aligned,
         replace(aligned, lte=replace(aligned.lte, diag_interval=0.020)),
     ]
-    assert "homogeneous" in cell_batch_unsupported_reason(mixed_cadence, fleet)
-    with pytest.raises(ValueError, match="unsupported"):
+    with pytest.raises(ValueError, match="homogeneous"):
         UplinkCellSession(mixed_cadence, fleet=fleet)
-    with pytest.raises(ValueError, match="unsupported"):
-        BatchedCellSimulation([mixed_cadence], fleets=[fleet])
+    with pytest.raises(ValueError, match="homogeneous"):
+        BatchedSimulation(mixed_cadence, counts=[2], fleets=[fleet])
 
 
 def test_unequal_member_counts_match_solo_cells():
@@ -359,3 +358,17 @@ def test_sweep_rejects_empty_plans(bad):
     for batch in (False, True):
         with pytest.raises(ValueError, match=field):
             fleet_sweep("cellular", batch=batch, **kwargs)
+
+
+def test_cell_grouping_is_checked_when_built():
+    configs = member_configs(lockstep_config(), 3)
+    with pytest.raises(ValueError, match="sum to 3"):
+        BatchedSimulation(configs, counts=[1, 1])
+    with pytest.raises(ValueError, match=">= 1"):
+        BatchedSimulation(configs, counts=[3, 0])
+    with pytest.raises(ValueError, match="2 member counts for 1 cells"):
+        BatchedSimulation(configs, counts=[1, 2], fleets=[FleetConfig(ues=1)])
+    with pytest.raises(ValueError, match="counts"):
+        BatchedSimulation(configs, fleets=[FleetConfig(ues=3)])
+    with pytest.raises(ValueError, match="counts"):
+        BatchedSimulation(configs).run_cells()

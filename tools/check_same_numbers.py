@@ -111,7 +111,11 @@ def emit() -> dict:
     """Run the fixed set in the importable tree; ``{name: record}``."""
     from repro.config import DownlinkConfig, FleetConfig
     from repro.sim.batch import run_batched
-    from repro.sim.batch_cell import run_batched_cell
+
+    try:
+        from repro.sim.batch import run_batched_cell
+    except ImportError:  # a tree from before the cell engine was folded in
+        from repro.sim.batch_cell import run_batched_cell
     from repro.telephony.fleet import run_cell
     from repro.telephony.session import run_session
     from repro.telephony.uplink import run_uplink_cell, run_uplink_session
